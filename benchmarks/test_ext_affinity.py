@@ -30,8 +30,8 @@ traversal by >= 30% against both.
 rebalancer is quiet, while the cut phase has real work.
 
 Writes ``ext_affinity.txt`` (report table) and
-``affinity_snapshot.json`` / repo-root ``BENCH_affinity.json``
-(headline mirror, uploaded by CI's ext-affinity job).
+``benchmarks/results/affinity_snapshot.json`` (uploaded by CI's
+ext-affinity job).
 """
 
 from conftest import RESULTS_DIR, save_table, scale_requests

@@ -105,8 +105,8 @@ def run_scaleout_experiment(requests: int):
         if proc.value == 0 or max(fills) - min(fills) < 0.02:
             break
     after = run_workload(cluster, operations, concurrency=CONCURRENCY)
-    new_acc = cluster.accelerators[new_node]
-    return before, after, moved, new_acc.stats.bytes_loaded
+    new_bytes = cluster.registry.counter(f"mem{new_node}.acc.bytes_loaded")
+    return before, after, moved, new_bytes.value
 
 
 def test_ext_migration(once):

@@ -19,9 +19,8 @@ Claims gated here:
    factor of the quiet rack's p99.
 
 Writes ``ext_recovery.txt`` (report table) and
-``recovery_snapshot.json`` (raw numbers; mirrored to
-``BENCH_recovery.json`` at the repo root and uploaded by CI's
-ext-recovery job).
+``benchmarks/results/recovery_snapshot.json`` (raw numbers, uploaded
+by CI's ext-recovery job).
 """
 
 from conftest import RESULTS_DIR, save_table, scale_requests

@@ -25,13 +25,21 @@ def _measure():
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "metrics_snapshot.json").write_text(
         json.dumps({"pulse": run.metrics}, indent=2) + "\n")
-    stats = system.accelerators[0].stats
+    counters = run.metrics["counters"]
+    spans = run.metrics["histograms"]
+    requests = counters["mem0.acc.requests"]
+    messages = requests + counters["mem0.acc.responses"]
+    iterations = counters["mem0.acc.iterations"]
+
+    def span_ns(stage):
+        return spans[f"mem0.acc.span.{stage}"]["sum"]
+
     return {
-        "netstack_ns": stats.per_message_netstack_ns(),
-        "scheduler_ns": stats.per_request_dispatch_ns(),
-        "memory_ns": stats.per_iteration_memory_ns(),
-        "logic_ns": stats.per_iteration_logic_ns(),
-        "iterations": stats.iterations / max(1, stats.requests),
+        "netstack_ns": span_ns("netstack") / messages,
+        "scheduler_ns": span_ns("scheduler") / requests,
+        "memory_ns": span_ns("memory") / iterations,
+        "logic_ns": span_ns("logic") / iterations,
+        "iterations": iterations / max(1, requests),
     }
 
 

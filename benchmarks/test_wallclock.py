@@ -31,11 +31,10 @@ Two further measurements ride on the batch cell:
   done-event, so a million requests is a routine bench rather than an
   O(N^2) all-of stall.  Honors ``REPRO_BENCH_SCALE``.
 
-Results land in ``benchmarks/results/BENCH_wallclock.json`` (mirrored
-to the repo root by ``write_snapshot``).  The ISSUE acceptance bars --
-compiled >= 3x interpreted on the microbench, and batch >= 3x scalar
-compiled end to end at 32 lanes -- are asserted, so CI fails on an
-execution-tier performance regression.
+Results land in ``benchmarks/results/BENCH_wallclock.json``.  The
+acceptance bars -- compiled >= 3x interpreted on the microbench, and
+batch >= 3x scalar compiled end to end at 32 lanes -- are asserted, so
+CI fails on an execution-tier performance regression.
 
 Every measurement runs after an explicit warmup pass (module import
 costs, numpy kernel compilation, allocator pools), so the first timed
@@ -205,8 +204,7 @@ def merge_wallclock_snapshot(metrics: dict, derived: dict,
     The compiled-tier, sharded-tier, and million-request tests each
     contribute sections to the same headline snapshot; whichever runs
     later must not clobber the earlier sections, so this reads the
-    current file, merges, and rewrites through ``write_snapshot`` (which
-    also refreshes the repo-root mirror).
+    current file, merges, and rewrites through ``write_snapshot``.
     """
     path = RESULTS_DIR / "BENCH_wallclock.json"
     existing = {"params": {}, "metrics": {}, "derived": {}}

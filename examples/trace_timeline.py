@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Tracing a distributed traversal, event by event.
 
-Enables the cluster's tracer and prints the full timeline of one
+Builds the cluster with ``trace=True``, which switches on the metrics
+registry's per-request event log, and prints the full timeline of one
 request that hops across two memory nodes -- the simulated counterpart
-of the measurements behind the paper's Fig 9.
+of the measurements behind the paper's Fig 9.  ``cluster.timeline()``
+returns the same events as JSON-able dicts, merged across worker
+processes when the cluster is sharded.
 
 Run:  python examples/trace_timeline.py
 """
@@ -27,7 +30,7 @@ def main() -> None:
 
     request_id = (0, 1)
     print("timeline:")
-    print(cluster.tracer.render(request_id))
+    print(cluster.render(request_id))
 
     print("\nswitch counters:",
           f"{cluster.switch.routed_to_memory} routed,",

@@ -22,14 +22,6 @@ METRICS_SNAPSHOT_FILE = "metrics_snapshot.json"
 #: jobs, dashboards) key their parsers off this field
 SCHEMA_VERSION = 1
 
-#: headline snapshots also mirrored to ``BENCH_<name>.json`` at the
-#: repo root, where CI uploads and readers expect the latest numbers
-HEADLINE_SNAPSHOTS = ("wallclock", "goodput_loss", "migration",
-                      "split_index", "affinity", "recovery")
-
-#: repo root (this file lives at src/repro/bench/report.py)
-REPO_ROOT = Path(__file__).resolve().parents[3]
-
 #: accelerator span stages, in pipeline order (Fig 9's x-axis)
 SPAN_STAGES = ("netstack", "scheduler", "memory", "logic")
 
@@ -116,11 +108,6 @@ def write_snapshot(name: str, params: Dict, metrics: Dict,
     ``<name>_snapshot.json`` under ``benchmarks/results``; pass
     ``filename`` for legacy artifact names CI already tracks (e.g.
     ``BENCH_wallclock.json``).
-
-    :data:`HEADLINE_SNAPSHOTS` are additionally mirrored to
-    ``BENCH_<name>.json`` at the repo root so the latest headline
-    numbers live next to the README rather than buried in the results
-    tree.
     """
     directory = (Path(results_dir) if results_dir is not None
                  else Path("benchmarks") / "results")
@@ -135,8 +122,6 @@ def write_snapshot(name: str, params: Dict, metrics: Dict,
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     path = directory / (filename if filename else f"{name}_snapshot.json")
     path.write_text(text)
-    if name in HEADLINE_SNAPSHOTS:
-        (REPO_ROOT / f"BENCH_{name}.json").write_text(text)
     return path
 
 

@@ -37,7 +37,6 @@ from repro.params import SystemParams
 from repro.sim.engine import Environment, Event, Process
 from repro.sim.network import Fabric, Message
 from repro.sim.resources import Resource
-from repro.sim.trace import NullTracer
 from repro.transport import TransportSession
 
 #: give up after this many retransmissions of one request
@@ -170,7 +169,6 @@ class PulseClient:
                  memory: GlobalMemory, name: str = "client0",
                  switch_name: str = "switch", stack_cores: int = 8,
                  batch_size: int = 1, flush_ns: Optional[float] = None,
-                 tracer=None,
                  registry: Optional[MetricsRegistry] = None,
                  index=None):
         self.env = env
@@ -190,7 +188,6 @@ class PulseClient:
         self.endpoint = self.session.endpoint
         #: DPDK stack cores: every message send/receive occupies one
         self.stack_unit = Resource(env, capacity=stack_cores)
-        self.tracer = tracer if tracer is not None else NullTracer()
         self._waiters: Dict[tuple, Event] = {}
         #: jitter source for retry backoff (deterministic per client name)
         self._rng = random.Random(name)
@@ -325,8 +322,8 @@ class PulseClient:
 
         request = self.engine.make_request(iterator, *args,
                                            issued_at_ns=start)
-        self.tracer.record(self.name, "issue", request.request_id,
-                           program=request.program.name)
+        self.registry.event(self.name, "issue", request.request_id,
+                            program=request.program.name)
         response = yield from self._dispatch(request)
         while response.status in (RequestStatus.ITER_LIMIT,
                                   RequestStatus.RUNNING,
@@ -350,10 +347,10 @@ class PulseClient:
             fault=(FaultInfo(reason=response.fault_reason, kind="remote")
                    if faulted else None),
         )
-        self.tracer.record(self.name, "complete", response.request_id,
-                           status=response.status.value,
-                           iterations=response.iterations_done,
-                           hops=response.node_hops)
+        self.registry.event(self.name, "complete", response.request_id,
+                            status=response.status.value,
+                            iterations=response.iterations_done,
+                            hops=response.node_hops)
         if (self.index is not None and iterator.indexable
                 and response.status is RequestStatus.DONE):
             self._learn_from_traversal(iterator, args, response)
@@ -409,8 +406,8 @@ class PulseClient:
             return None
         reply = waiter.value
         if not reply.ok:
-            self.tracer.record(self.name, "direct_read_nack", rid,
-                               reason=reply.nack_reason)
+            self.registry.event(self.name, "direct_read_nack", rid,
+                                reason=reply.nack_reason)
             self.index.stale_nacks.inc()
             self.index.invalidate(key)
             return None
@@ -426,8 +423,8 @@ class PulseClient:
             # epoch; refresh the entry in place.
             self.index.learn(key, entry.node_id, entry.vaddr,
                              reply.map_version)
-        self.tracer.record(self.name, "direct_read_hit", rid,
-                           vaddr=hex(entry.vaddr))
+        self.registry.event(self.name, "direct_read_hit", rid,
+                            vaddr=entry.vaddr)
         return TraversalResult(
             value=value, iterations=1,
             latency_ns=self.env.now - start, offloaded=True, hops=0)
@@ -460,8 +457,8 @@ class PulseClient:
                     f"request {request.request_id} rejected by admission "
                     f"control {retries} times")
             self._m_admission_retries.inc()
-            self.tracer.record(self.name, "admission_retry",
-                               request.request_id, attempt=retries)
+            self.registry.event(self.name, "admission_retry",
+                                request.request_id, attempt=retries)
             yield self.env.timeout(backoff * self._rng.uniform(0.5, 1.5))
             backoff = min(backoff * 2.0, net.retry_backoff_cap_ns)
             request = self.engine.continuation(response, self.env.now)
@@ -498,8 +495,8 @@ class PulseClient:
                     f"request {request.request_id} lost after "
                     f"{attempts} attempts")
             self._m_retransmissions.inc()
-            self.tracer.record(self.name, "retransmit",
-                               request.request_id, attempt=attempts)
+            self.registry.event(self.name, "retransmit",
+                                request.request_id, attempt=attempts)
             request.attempt = attempts
 
     # -- local fallback -----------------------------------------------------------

@@ -28,13 +28,13 @@ from repro.durability import DurabilityError, DurabilityService
 from repro.index import SplitIndexDirectory
 from repro.mem.allocator import PlacementPolicy
 from repro.mem.node import GlobalMemory
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (MetricsRegistry, render_events,
+                                request_timeline)
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.placement.service import PlacementService
 from repro.shard.runtime import ShardError, ShardedRuntime, resolve_workers
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric
-from repro.sim.trace import NullTracer, Tracer
 
 
 class PulseCluster:
@@ -66,6 +66,8 @@ class PulseCluster:
         #: one registry carries every metric in the rack; snapshot() is
         #: the single observability export (see docs/architecture.md)
         self.registry = MetricsRegistry(clock=lambda: self.env.now)
+        if trace:
+            self.registry.enable_events()
         self.fabric = Fabric(self.env, self.params.network, seed=seed,
                              registry=self.registry)
         capacity = (node_capacity if node_capacity is not None
@@ -75,15 +77,12 @@ class PulseCluster:
         self.memory.allocator.attach_metrics(self.registry)
         for node in self.memory.nodes:
             node.attach_metrics(self.registry, clock=lambda: self.env.now)
-        self.tracer = (Tracer(self.env) if trace
-                       else NullTracer())
         switch_kwargs = {}
         if client_table_capacity is not None:
             switch_kwargs["client_table_capacity"] = client_table_capacity
         self.switch = PulseSwitch(self.env, self.fabric,
                                   self.memory.addrspace, self.params,
                                   bounce_to_client=bounce_to_client,
-                                  tracer=self.tracer,
                                   registry=self.registry,
                                   rangemap=self.memory.placement,
                                   **switch_kwargs)
@@ -96,7 +95,6 @@ class PulseCluster:
                                  batch_lanes=batch_lanes)
         self.accelerators: List[Accelerator] = [
             Accelerator(self.env, node, self.fabric, self.params,
-                        tracer=self.tracer,
                         registry=self.registry,
                         **self._acc_options)
             for node in self.memory.nodes
@@ -105,7 +103,7 @@ class PulseCluster:
         #: rebalancer control loop (see docs/architecture.md)
         self.placement = PlacementService(self.env, self.memory,
                                           self.params, self.registry,
-                                          tracer=self.tracer, seed=seed)
+                                          seed=seed)
         for acc in self.accelerators:
             self.placement.attach_accelerator(acc)
         #: replicated redo logging + crash recovery (None when the
@@ -140,8 +138,7 @@ class PulseCluster:
             PulseClient(self.env, self.fabric, self.params,
                         self.engines[i], self.memory,
                         name=f"client{i}", batch_size=batch_size,
-                        flush_ns=flush_ns, tracer=self.tracer,
-                        registry=self.registry,
+                        flush_ns=flush_ns, registry=self.registry,
                         index=(self.indexes[i] if split_index else None))
             for i in range(client_count)
         ]
@@ -213,7 +210,7 @@ class PulseCluster:
         node = self.memory.add_node()
         node.attach_metrics(self.registry, clock=lambda: self.env.now)
         acc = Accelerator(self.env, node, self.fabric, self.params,
-                          tracer=self.tracer, registry=self.registry,
+                          registry=self.registry,
                           **self._acc_options)
         self.accelerators.append(acc)
         self.placement.on_node_added(node.node_id)
@@ -375,10 +372,8 @@ class PulseCluster:
         if duration_ns <= 0:
             return 0.0
         cap = self.params.memory.bandwidth_bytes_per_ns
-        per_node = [
-            acc.stats.bytes_loaded / duration_ns / cap
-            for acc in self.accelerators
-        ]
+        per_node = [acc.memory_bandwidth_used(duration_ns) / cap
+                    for acc in self.accelerators]
         return sum(per_node) / len(per_node)
 
     def network_bandwidth_utilization(self, duration_ns: float) -> float:
@@ -424,6 +419,20 @@ class PulseCluster:
         if self.runtime is not None and self.runtime._started:
             return self.runtime.metrics_snapshot()
         return self.registry.snapshot()
+
+    def timeline(self, request_id: Tuple[int, int]) -> List[dict]:
+        """One request's events (``trace=True``), in time order.
+
+        Reads the merged snapshot, so a sharded run yields the same
+        timeline as the in-process one.
+        """
+        return request_timeline(self.metrics_snapshot(), request_id)
+
+    def render(self, request_id: Optional[Tuple[int, int]] = None) -> str:
+        """The event log as text: one request's timeline, or all."""
+        if request_id is not None:
+            return render_events(self.timeline(request_id))
+        return render_events(self.metrics_snapshot().get("events", ()))
 
     def reset_counters(self) -> None:
         self.memory.reset_counters()

@@ -30,7 +30,6 @@ from repro.placement.rangemap import PlacementMap
 from repro.params import SystemParams
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric, Message
-from repro.sim.trace import NullTracer
 from repro.transport import TransportSession
 
 #: default bound on the request-id -> client table (switch SRAM is finite)
@@ -60,7 +59,6 @@ class PulseSwitch:
     def __init__(self, env: Environment, fabric: Fabric,
                  addrspace: AddressSpace, params: SystemParams,
                  name: str = "switch", bounce_to_client: bool = False,
-                 tracer=None,
                  client_table_capacity: int = CLIENT_TABLE_CAPACITY,
                  registry: Optional[MetricsRegistry] = None,
                  rangemap: Optional[PlacementMap] = None):
@@ -78,7 +76,6 @@ class PulseSwitch:
         self.params = params
         self.name = name
         self.bounce_to_client = bounce_to_client
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.session = TransportSession(env, fabric, name,
                                         params=params.transport,
                                         registry=registry,
@@ -229,8 +226,8 @@ class PulseSwitch:
                 return
             request.status = RequestStatus.RUNNING
             self._m_moved.inc()
-            self.tracer.record(self.name, "moved_redirect",
-                               request.request_id, dst=f"mem{owner}")
+            self.registry.event(self.name, "moved_redirect",
+                                request.request_id, dst=f"mem{owner}")
             self._forward(message, f"mem{owner}")
             return
 
@@ -257,14 +254,12 @@ class PulseSwitch:
                 return
             if from_memory:
                 self._m_rerouted.inc()
-                self.tracer.record(self.name, "reroute",
-                                   request.request_id,
-                                   dst=f"mem{owner}")
+                self.registry.event(self.name, "reroute",
+                                    request.request_id, dst=f"mem{owner}")
             else:
                 self._m_routed.inc()
-                self.tracer.record(self.name, "route_to_memory",
-                                   request.request_id,
-                                   dst=f"mem{owner}")
+                self.registry.event(self.name, "route_to_memory",
+                                    request.request_id, dst=f"mem{owner}")
             self._forward(message, f"mem{owner}")
             return
 
@@ -275,8 +270,8 @@ class PulseSwitch:
             self._m_dropped_stale.inc()
             return
         self._m_returned.inc()
-        self.tracer.record(self.name, "return_to_client",
-                           request.request_id, dst=client)
+        self.registry.event(self.name, "return_to_client",
+                            request.request_id, dst=client)
         self._table.pop(request.request_id, None)
         self._forward(message, client)
 
@@ -366,8 +361,8 @@ class PulseSwitch:
                 self._send(request, request.wire_bytes(), client)
                 continue
             self._m_routed.inc()
-            self.tracer.record(self.name, "route_to_memory",
-                               request.request_id, dst=f"mem{owner}")
+            self.registry.event(self.name, "route_to_memory",
+                                request.request_id, dst=f"mem{owner}")
             per_owner.setdefault(owner, []).append(request)
         if len(per_owner) > 1:
             self._m_batch_splits.inc()
@@ -424,8 +419,8 @@ class PulseSwitch:
                     self._send(request, request.wire_bytes(), entry.client)
                     continue
                 self._m_reinjected.inc()
-                self.tracer.record(self.name, "failover_reinject",
-                                   request.request_id, dst=f"mem{owner}")
+                self.registry.event(self.name, "failover_reinject",
+                                    request.request_id, dst=f"mem{owner}")
                 self._send(request, request.wire_bytes(), f"mem{owner}")
                 reinjected += 1
         return reinjected

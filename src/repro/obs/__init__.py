@@ -1,7 +1,8 @@
-"""Observability: metrics registry, spans, and snapshots.
+"""Observability: metrics registry, spans, event log, and snapshots.
 
-See :mod:`repro.obs.metrics` for the registry and metric kinds and
-:mod:`repro.obs.span` for per-stage request timing.  The snapshot schema
+See :mod:`repro.obs.metrics` for the registry, metric kinds and the
+per-request event log, and :mod:`repro.obs.span` for per-stage request
+timing.  The snapshot schema
 is documented in ``docs/architecture.md`` (Observability section).
 """
 
@@ -11,6 +12,8 @@ from repro.obs.metrics import (
     Histogram,
     MetricError,
     MetricsRegistry,
+    render_events,
+    request_timeline,
 )
 from repro.obs.span import Span
 
@@ -21,4 +24,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "Span",
+    "render_events",
+    "request_timeline",
 ]

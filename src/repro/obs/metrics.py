@@ -22,12 +22,27 @@ Three metric kinds cover what the benchmarks report:
 
 Time is supplied by a ``clock`` callable (usually ``lambda: env.now``)
 so the registry stays independent of the simulation kernel.
+
+The registry also holds the per-request **event log** behind
+``PulseCluster(trace=True)``: :meth:`MetricsRegistry.enable_events`
+switches on a bounded list of timestamped events from every component a
+traversal touches, which :func:`request_timeline` and
+:func:`render_events` turn into the kind of timeline Fig 9 was measured
+from::
+
+    t=     0.000us  client0    issue              req=(0, 1) program=list_find
+    t=     1.198us  switch     route_to_memory    req=(0, 1) dst=mem0
+    t=     2.130us  mem0       rx                 req=(0, 1) cur_ptr=0x10000000
+    t=     3.150us  switch     reroute            req=(0, 1) dst=mem1
+
+Until it is enabled, :meth:`MetricsRegistry.event` returns at once and
+snapshots carry no ``events`` section.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Counter",
@@ -35,7 +50,16 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
+    "render_events",
+    "request_timeline",
 ]
+
+#: default bound of the event log; events past it count into
+#: ``obs.events_dropped`` instead of being stored
+EVENT_CAPACITY = 100_000
+
+#: event detail fields holding addresses, rendered in hex
+HEX_FIELDS = ("cur_ptr", "vaddr", "start", "end")
 
 
 class MetricError(ValueError):
@@ -184,6 +208,10 @@ class MetricsRegistry:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock if clock is not None else (lambda: 0.0)
         self._metrics: Dict[str, Any] = {}
+        #: (time_ns, component, event, request_id, detail) tuples; None
+        #: while the event log is off
+        self._events: Optional[List[Tuple]] = None
+        self._event_capacity = 0
 
     @property
     def now(self) -> float:
@@ -220,13 +248,39 @@ class MetricsRegistry:
         from repro.obs.span import Span
         return Span(self.histogram(name), self._clock)
 
+    # -- per-request event log -------------------------------------------------
+    def enable_events(self, capacity: int = EVENT_CAPACITY) -> None:
+        """Switch on the bounded per-request event log."""
+        self._events = []
+        self._event_capacity = capacity
+        self._m_events_dropped = self.counter("obs.events_dropped")
+
+    def event(self, component: str, event: str,
+              request_id: Optional[Tuple[int, int]] = None,
+              **detail) -> None:
+        """Log one timestamped event; a no-op while the log is off.
+
+        ``detail`` values are stored raw (addresses as ints) and only
+        formatted by :func:`render_events`.
+        """
+        events = self._events
+        if events is None:
+            return
+        if len(events) >= self._event_capacity:
+            self._m_events_dropped.inc()
+            return
+        events.append((self._clock(), component, event, request_id, detail))
+
     def names(self, prefix: str = "") -> list:
         return sorted(n for n in self._metrics if n.startswith(prefix))
 
     def reset(self) -> None:
-        """Zero every counter/histogram/set-gauge (callbacks untouched)."""
+        """Zero every counter/histogram/set-gauge (callbacks untouched)
+        and empty the event log."""
         for metric in self._metrics.values():
             metric.reset()
+        if self._events is not None:
+            self._events.clear()
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-serializable view of every registered metric."""
@@ -241,9 +295,43 @@ class MetricsRegistry:
                 gauges[name] = metric.value
             else:
                 histograms[name] = metric.snapshot()
-        return {
+        snapshot = {
             "now_ns": self.now,
             "counters": counters,
             "gauges": gauges,
             "histograms": histograms,
         }
+        if self._events is not None:
+            snapshot["events"] = [
+                {"time_ns": time_ns, "component": component,
+                 "event": event,
+                 "request_id": (list(request_id) if request_id is not None
+                                else None),
+                 "detail": dict(detail)}
+                for time_ns, component, event, request_id, detail
+                in self._events]
+        return snapshot
+
+
+def request_timeline(snapshot: Dict,
+                     request_id: Tuple[int, int]) -> List[Dict]:
+    """One request's events from a snapshot, in time order."""
+    wanted = list(request_id)
+    return [event for event in snapshot.get("events", ())
+            if event["request_id"] == wanted]
+
+
+def render_events(events: Iterable[Dict]) -> str:
+    """One line per snapshot event; addresses print in hex."""
+    lines = []
+    for event in events:
+        extras = " ".join(
+            f"{key}={value:#x}" if key in HEX_FIELDS else f"{key}={value}"
+            for key, value in event["detail"].items())
+        request_id = event["request_id"]
+        req = f"req={tuple(request_id)}" if request_id is not None else ""
+        lines.append(
+            f"t={event['time_ns'] / 1000:10.3f}us  "
+            f"{event['component']:10s} {event['event']:18s} "
+            f"{req} {extras}".rstrip())
+    return "\n".join(lines)

@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.mem.allocator import AllocationError
 from repro.mem.translation import RangeEntry
-from repro.sim.trace import NullTracer
+from repro.obs.metrics import MetricsRegistry
 
 
 class MigrationError(Exception):
@@ -40,12 +40,11 @@ class MigrationError(Exception):
 class MigrationEngine:
     """Copies segments between nodes under live traffic."""
 
-    def __init__(self, env, memory, params, registry=None, tracer=None):
+    def __init__(self, env, memory, params, registry=None):
         self.env = env
         self.memory = memory
         self.rangemap = memory.placement
         self.params = params
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.in_flight = 0
         self.completed = 0
         self.bytes_migrated = 0
@@ -53,20 +52,18 @@ class MigrationEngine:
         #: rebalancer's fill arithmetic works in live bytes, not mapped
         #: bytes, which also count freed-but-still-mapped blocks)
         self.last_live_bytes = 0
-        self._registry = registry
-        if registry is not None:
-            self._m_migrations = registry.counter("placement.migrations")
-            self._m_bytes = registry.counter("placement.bytes_migrated")
-            self._m_failed = registry.counter("placement.migrations_failed")
-            self._hist_ns = registry.histogram("placement.migration_ns")
-            registry.gauge("placement.migrations_in_flight",
-                           fn=lambda: self.in_flight)
-            registry.gauge("placement.forward_hints",
-                           fn=lambda: sum(len(n.forwarding)
-                                          for n in self.memory.nodes))
-        else:
-            self._m_migrations = self._m_bytes = self._m_failed = None
-            self._hist_ns = None
+        if registry is None:
+            registry = MetricsRegistry(clock=lambda: env.now)
+        self.registry = registry
+        self._m_migrations = registry.counter("placement.migrations")
+        self._m_bytes = registry.counter("placement.bytes_migrated")
+        self._m_failed = registry.counter("placement.migrations_failed")
+        self._hist_ns = registry.histogram("placement.migration_ns")
+        registry.gauge("placement.migrations_in_flight",
+                       fn=lambda: self.in_flight)
+        registry.gauge("placement.forward_hints",
+                       fn=lambda: sum(len(n.forwarding)
+                                      for n in self.memory.nodes))
 
     # -- public API ---------------------------------------------------------
     def migrate(self, virt_start: int, virt_end: int, dst: int,
@@ -121,9 +118,8 @@ class MigrationEngine:
 
         started = self.env.now
         self.in_flight += 1
-        self.tracer.record("placement", "migrate_start", (src, dst),
-                           start=hex(virt_start), end=hex(virt_end),
-                           bytes=total)
+        self.registry.event("placement", "migrate_start", (src, dst),
+                            start=virt_start, end=virt_end, bytes=total)
         try:
             # Phase 1: bandwidth-limited background copy.  Traversals
             # keep hitting the source; only the *time* is charged here --
@@ -165,12 +161,11 @@ class MigrationEngine:
 
         self.completed += 1
         self.bytes_migrated += total
-        if self._m_migrations is not None:
-            self._m_migrations.inc()
-            self._m_bytes.inc(total)
-            self._hist_ns.record(self.env.now - started)
-        self.tracer.record("placement", "migrate_done", (src, dst),
-                           duration_ns=self.env.now - started)
+        self._m_migrations.inc()
+        self._m_bytes.inc(total)
+        self._hist_ns.record(self.env.now - started)
+        self.registry.event("placement", "migrate_done", (src, dst),
+                            duration_ns=self.env.now - started)
         return total
 
     def drain(self, node_id: int,
@@ -292,5 +287,4 @@ class MigrationEngine:
         return pieces
 
     def _count_failed(self) -> None:
-        if self._m_failed is not None:
-            self._m_failed.inc()
+        self._m_failed.inc()

@@ -39,7 +39,8 @@ from repro.shard.transport import (ADVANCE, DONE, ERROR, SNAPSHOT, STOP,
 from repro.sim.engine import Event
 
 #: metric names accumulated across processes rather than owned by one
-SUMMED_COUNTERS = ("net.delivered_messages", "net.dropped_messages")
+SUMMED_COUNTERS = ("net.delivered_messages", "net.dropped_messages",
+                   "obs.events_dropped")
 #: hotness gauges: each process's tracker sees only the touches its own
 #: accelerators execute, so the per-process values are disjoint shares
 SUMMED_GAUGE_PREFIX = "placement.hot."
@@ -137,6 +138,11 @@ def merge_snapshots(base: Dict, worker_snapshots: Dict[int, Dict],
     those metrics never move past zero); fabric-global delivery
     counters are summed across processes; everything else -- clients,
     switch, placement, request histograms -- is coordinator-owned.
+
+    Traced runs (``events`` present) own events by component the same
+    way: ``mem{i}`` events come from node ``i``'s worker, all others
+    from the coordinator.  The union is sorted by time; equal times
+    keep coordinator-first, then worker order.
     """
     merged = {
         "now_ns": base.get("now_ns", 0.0),
@@ -144,6 +150,12 @@ def merge_snapshots(base: Dict, worker_snapshots: Dict[int, Dict],
         "gauges": dict(base.get("gauges", {})),
         "histograms": dict(base.get("histograms", {})),
     }
+    owners = {f"mem{i}": worker for worker, nodes in assignment.items()
+              for i in nodes}
+    traced = "events" in base
+    if traced:
+        events = [event for event in base["events"]
+                  if event["component"] not in owners]
     for worker, snapshot in sorted(worker_snapshots.items()):
         prefixes = tuple(f"mem{i}." for i in assignment[worker])
         prefixes += tuple(f"net.mem{i}." for i in assignment[worker])
@@ -151,10 +163,13 @@ def merge_snapshots(base: Dict, worker_snapshots: Dict[int, Dict],
             for name, value in snapshot.get(section, {}).items():
                 if name.startswith(prefixes):
                     merged[section][name] = value
+        if traced:
+            events.extend(event for event in snapshot.get("events", ())
+                          if owners.get(event["component"]) == worker)
         for name in SUMMED_COUNTERS:
-            merged["counters"][name] = (
-                merged["counters"].get(name, 0)
-                + snapshot.get("counters", {}).get(name, 0))
+            if name in merged["counters"]:
+                merged["counters"][name] += (
+                    snapshot.get("counters", {}).get(name, 0))
         for name, value in snapshot.get("gauges", {}).items():
             if name in MAXED_GAUGES:
                 merged["gauges"][name] = max(
@@ -168,6 +183,9 @@ def merge_snapshots(base: Dict, worker_snapshots: Dict[int, Dict],
     if "net.delivery_ratio" in merged["gauges"]:
         merged["gauges"]["net.delivery_ratio"] = (
             delivered / offered if offered else 1.0)
+    if traced:
+        events.sort(key=lambda event: event["time_ns"])
+        merged["events"] = events
     return merged
 
 

@@ -19,25 +19,28 @@ class TestAcceleratorStats:
     def test_phase_accounting_matches_fig9_constants(self):
         cluster, lst = make_list_cluster()
         cluster.run_traversal(lst.find_iterator(), 20)
-        stats = cluster.accelerators[0].stats
+        snapshot = cluster.metrics_snapshot()
+        counters = snapshot["counters"]
+        spans = snapshot["histograms"]
         acc = cluster.params.accelerator
-        assert stats.per_message_netstack_ns() == acc.netstack_ns
-        assert stats.per_request_dispatch_ns() == \
+        assert counters["mem0.acc.iterations"] == 20
+        assert counters["mem0.acc.requests"] == 1
+        assert counters["mem0.acc.responses"] == 1
+        assert spans["mem0.acc.span.netstack"]["sum"] == \
+            2 * acc.netstack_ns
+        assert spans["mem0.acc.span.scheduler"]["sum"] == \
             acc.scheduler_dispatch_ns
         # 24-byte window: occupancy + interconnect + latency tail.
         expected_mem = (acc.occupancy_ns(24) + 24 / 25.0
                         + acc.dram_latency_ns)
-        assert stats.per_iteration_memory_ns() == \
+        assert spans["mem0.acc.span.memory"]["sum"] / 20 == \
             pytest.approx(expected_mem, rel=0.01)
-        assert stats.iterations == 20
-        assert stats.requests == 1
-        assert stats.responses == 1
 
     def test_bytes_loaded_counts_window(self):
         cluster, lst = make_list_cluster()
         cluster.run_traversal(lst.find_iterator(), 10)
-        stats = cluster.accelerators[0].stats
-        assert stats.bytes_loaded == 10 * 24
+        bytes_loaded = cluster.registry.counter("mem0.acc.bytes_loaded")
+        assert bytes_loaded.value == 10 * 24
 
     def test_memory_bandwidth_used(self):
         cluster, lst = make_list_cluster()

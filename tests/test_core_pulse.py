@@ -1,6 +1,8 @@
 """End-to-end tests for the pulse core: kernel builder, offload engine,
 accelerator, switch routing, and the cluster assembly."""
 
+import warnings
+
 import pytest
 
 from repro.core import (
@@ -10,6 +12,7 @@ from repro.core import (
     PulseIterator,
     RequestStatus,
 )
+from repro.core.iterator import TraversalResult
 from repro.isa import Opcode
 from repro.mem import Field, StructLayout
 from repro.params import (
@@ -355,3 +358,32 @@ class TestWorkloadDriver:
                 ops, concurrency=concurrency).throughput_per_s
 
         assert run(8) > 2 * run(1)
+
+
+class TestShimsRemoved:
+    """Retired compatibility accessors stay removed."""
+
+    def test_cluster_singular_accessors_are_gone(self):
+        cluster = PulseCluster(node_count=1, client_count=2)
+        with pytest.raises(AttributeError):
+            cluster.engine
+        with pytest.raises(AttributeError):
+            cluster.client
+        assert cluster.engines and cluster.clients  # plural API remains
+
+    def test_traversal_result_legacy_surface_is_gone(self):
+        result = TraversalResult(value=b"v", iterations=3)
+        with pytest.raises(AttributeError):
+            result.faulted
+        with pytest.raises(AttributeError):
+            result.fault_reason
+        with pytest.raises(TypeError):
+            TraversalResult(value=None, iterations=0,
+                            faulted=True, fault_reason="legacy")
+
+    def test_structured_ctor_never_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = TraversalResult(value=b"x", iterations=1)
+            assert result.ok
+            assert result.fault is None

@@ -102,9 +102,10 @@ class TestClusterHousekeeping:
         lst = LinkedList(cluster.memory)
         lst.extend((k, k) for k in range(1, 6))
         cluster.run_traversal(lst.find_iterator(), 5)
-        assert cluster.accelerators[0].stats.requests == 1
+        requests = cluster.registry.counter("mem0.acc.requests")
+        assert requests.value == 1
         cluster.reset_counters()
-        assert cluster.accelerators[0].stats.requests == 0
+        assert requests.value == 0
         assert cluster.memory.nodes[0].bytes_served == 0
 
     def test_node_count_property(self):

@@ -142,6 +142,32 @@ class TestMergeSnapshots:
         assert merged["counters"]["client0.submitted"] == 5
         assert merged["now_ns"] == 100.0
 
+    def test_events_owned_by_component_and_time_sorted(self):
+        def event(time_ns, component):
+            return {"time_ns": time_ns, "component": component,
+                    "event": "e", "request_id": [0, 1], "detail": {}}
+
+        base = {"counters": {"obs.events_dropped": 1},
+                # the coordinator's mem0 entry is a stale pre-fork copy
+                "events": [event(0.0, "client0"), event(1.0, "mem0"),
+                           event(5.0, "switch")]}
+        workers = {
+            0: {"counters": {"obs.events_dropped": 2},
+                "events": [event(1.0, "mem0"), event(3.0, "mem0"),
+                           # replicated control processes run in every
+                           # replica; only the coordinator's copy counts
+                           event(4.0, "placement"),
+                           event(6.0, "mem1")]},
+        }
+        merged = merge_snapshots(base, workers, {0: [0], 1: [1]})
+        assert [(e["time_ns"], e["component"]) for e in merged["events"]] \
+            == [(0.0, "client0"), (1.0, "mem0"), (3.0, "mem0"),
+                (5.0, "switch")]
+        assert merged["counters"]["obs.events_dropped"] == 3
+        untraced = merge_snapshots({"counters": {}}, {0: {}}, {0: [0]})
+        assert "events" not in untraced
+        assert "obs.events_dropped" not in untraced["counters"]
+
 
 class TestConfig:
     def test_resolve_workers_precedence(self, monkeypatch):
