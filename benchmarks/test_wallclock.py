@@ -19,13 +19,8 @@ batch machine (``repro.isa.batchmachine``) exist.  Three measurements:
   event-engine work collapse to one vectorized step per LOAD, so the
   wall-clock win is large.
 
-Two further measurements ride on the batch cell:
+A further measurement rides on the batch cell:
 
-* **Sharded tier**: the same chain/B-tree mix on a four-node rack,
-  single process vs ``cluster.shard(workers=4)``.  The >= 5x gate only
-  makes physical sense with one core per worker plus the coordinator,
-  so it is enforced when the host grants >= 5 CPUs and recorded (with
-  the reason) either way.
 * **Million-request run**: a large open-loop drive with
   ``keep_results=False`` -- the driver completes in O(N) via a counting
   done-event, so a million requests is a routine bench rather than an
@@ -89,13 +84,6 @@ BATCH_CHAIN_TAIL = 8
 BATCH_TREE_KEYS = 1024
 BATCH_LOAD_PER_S = 8e6
 
-#: sharded tier: one worker process per memory node on a 4-node rack
-SHARD_NODES = 4
-SHARD_WORKERS = 4
-#: the parallel gate needs one core per worker plus the coordinator
-GATE_MIN_CPUS = SHARD_WORKERS + 1
-CPUS = len(os.sched_getaffinity(0))
-
 MILLION_REQUESTS = 1_000_000
 #: below the single-node batch cell's saturation point, so in-flight
 #: work stays bounded and wall clock scales linearly with requests
@@ -145,12 +133,11 @@ def warm_up():
                   burst=BATCH_BURST, keep_results=False)
 
 
-def build_batch_cell(requests: int, node_count: int = 1,
-                     batch_lanes=None):
-    """The chain/B-tree mixed cell shared by the batch-tier, sharded,
-    and million-request measurements."""
-    cluster = PulseCluster(node_count=node_count, batch_size=BATCH_BURST,
-                           seed=7, batch_lanes=batch_lanes)
+def build_batch_cell(requests: int, batch_lanes=None):
+    """The chain/B-tree mixed cell shared by the batch-tier and
+    million-request measurements."""
+    cluster = PulseCluster(batch_size=BATCH_BURST, seed=7,
+                           batch_lanes=batch_lanes)
     chain = LinkedList(cluster.memory)
     for key in range(BATCH_CHAIN_NODES):
         chain.append(key, key * 3)
@@ -201,10 +188,10 @@ def merge_wallclock_snapshot(metrics: dict, derived: dict,
                              params: dict) -> Path:
     """Fold one measurement section into ``BENCH_wallclock.json``.
 
-    The compiled-tier, sharded-tier, and million-request tests each
-    contribute sections to the same headline snapshot; whichever runs
-    later must not clobber the earlier sections, so this reads the
-    current file, merges, and rewrites through ``write_snapshot``.
+    The compiled-tier and million-request tests each contribute
+    sections to the same headline snapshot; whichever runs later must
+    not clobber the earlier sections, so this reads the current file,
+    merges, and rewrites through ``write_snapshot``.
     """
     path = RESULTS_DIR / "BENCH_wallclock.json"
     existing = {"params": {}, "metrics": {}, "derived": {}}
@@ -325,68 +312,6 @@ def test_compiled_tier_wallclock():
     # logic and the per-iteration event-engine work must pay >= 3x at
     # 32 lanes on the chain/B-tree mix.
     assert batch_speedup >= 3.0, report
-
-
-def measure_sharded_e2e_seconds(workers: int, requests: int) -> float:
-    """Wall clock of the 4-node batch cell, in-process or sharded."""
-    warm_up()
-    cluster, operations = build_batch_cell(requests,
-                                           node_count=SHARD_NODES,
-                                           batch_lanes=BATCH_LANES)
-    if workers:
-        cluster.shard(workers=workers)
-    try:
-        start = time.perf_counter()
-        stats = run_open_loop(cluster, operations, BATCH_LOAD_PER_S,
-                              seed=7, burst=BATCH_BURST,
-                              keep_results=False)
-        elapsed = time.perf_counter() - start
-    finally:
-        cluster.shutdown()
-    assert stats.completed == requests
-    assert stats.faults == 0
-    return elapsed
-
-
-def test_sharded_wallclock():
-    """Single process vs one worker process per memory node.
-
-    The >= 5x gate assumes each worker (plus the coordinator) gets its
-    own core; on smaller hosts the measurement still runs and lands in
-    the snapshot -- with ``gate_enforced: false`` and the reason -- so
-    the numbers stay honest instead of silently green.
-    """
-    requests = scale_requests(960)
-    single_s = measure_sharded_e2e_seconds(0, requests)
-    sharded_s = measure_sharded_e2e_seconds(SHARD_WORKERS, requests)
-    speedup = single_s / sharded_s
-    gate_enforced = CPUS >= GATE_MIN_CPUS
-    gate_reason = (
-        f"host grants {CPUS} CPUs >= {GATE_MIN_CPUS}" if gate_enforced
-        else f"host grants {CPUS} CPUs < {GATE_MIN_CPUS} (one per "
-             "worker plus the coordinator): pipe round-trips serialize "
-             "onto shared cores, so the >= 5x bar is recorded but not "
-             "asserted")
-    metrics = {
-        "sharded_open_loop": {
-            "requests": requests,
-            "node_count": SHARD_NODES,
-            "workers": SHARD_WORKERS,
-            "batch_lanes": BATCH_LANES,
-            "single_process_wallclock_s": round(single_s, 3),
-            "sharded_wallclock_s": round(sharded_s, 3),
-            "speedup": round(speedup, 2),
-            "cpus": CPUS,
-            "gate_enforced": gate_enforced,
-            "gate_reason": gate_reason,
-        },
-    }
-    derived = {"sharded_speedup": round(speedup, 2),
-               "sharded_gate_enforced": gate_enforced}
-    path = merge_wallclock_snapshot(metrics, derived, {"scale": SCALE})
-    print(f"\n{json.dumps(metrics, indent=2)}\n[saved to {path}]")
-    if gate_enforced:
-        assert speedup >= 5.0, metrics
 
 
 def measure_open_loop_seconds(requests: int) -> float:

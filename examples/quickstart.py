@@ -49,14 +49,10 @@ def main() -> None:
 
     print()
     print("accelerator stats (node 0):")
-    # The metrics snapshot works in every execution mode -- including
-    # PULSE_WORKERS=<n> sharding, where node 0 lives in a worker
-    # process and the snapshot merges its counters back in.
     counters = cluster.metrics_snapshot()["counters"]
     print(f"  requests handled : {counters['mem0.acc.requests']}")
     print(f"  iterations run   : {counters['mem0.acc.iterations']}")
     print(f"  bytes loaded     : {counters['mem0.acc.bytes_loaded']}")
-    cluster.shutdown()
 
 
 if __name__ == "__main__":

@@ -5,8 +5,7 @@ Builds the cluster with ``trace=True``, which switches on the metrics
 registry's per-request event log, and prints the full timeline of one
 request that hops across two memory nodes -- the simulated counterpart
 of the measurements behind the paper's Fig 9.  ``cluster.timeline()``
-returns the same events as JSON-able dicts, merged across worker
-processes when the cluster is sharded.
+returns the same events as JSON-able dicts.
 
 Run:  python examples/trace_timeline.py
 """

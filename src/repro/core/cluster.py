@@ -32,7 +32,6 @@ from repro.obs.metrics import (MetricsRegistry, render_events,
                                 request_timeline)
 from repro.params import DEFAULT_PARAMS, SystemParams
 from repro.placement.service import PlacementService
-from repro.shard.runtime import ShardError, ShardedRuntime, resolve_workers
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric
 
@@ -59,8 +58,7 @@ class PulseCluster:
                  seed: int = 0,
                  split_index: bool = False,
                  split_index_capacity: int = 1 << 20,
-                 split_index_invalidate: bool = True,
-                 workers: Optional[int] = None):
+                 split_index_invalidate: bool = True):
         self.params = params if params is not None else DEFAULT_PARAMS
         self.env = Environment()
         #: one registry carries every metric in the rack; snapshot() is
@@ -143,57 +141,10 @@ class PulseCluster:
             for i in range(client_count)
         ]
         self._next_client = 0
-        #: requested shard count (``workers=`` arg, else ``PULSE_WORKERS``
-        #: env, else 0 = classic in-process execution); the fork happens
-        #: lazily on the first submission so structures built after
-        #: construction still replicate into every worker
-        self._workers = resolve_workers(workers)
-        self.runtime: Optional[ShardedRuntime] = None
 
     @property
     def node_count(self) -> int:
         return self.memory.node_count
-
-    @property
-    def sharded(self) -> bool:
-        """True while worker processes are attached to this cluster."""
-        return self.runtime is not None and self.runtime._started \
-            and not self.runtime._stopped
-
-    # -- sharded execution --------------------------------------------------------
-    def shard(self, workers: Optional[int] = None,
-              replicated: Sequence = ()) -> ShardedRuntime:
-        """Fork one worker process per shard and start the lookahead sync.
-
-        Build every data structure *before* calling this: the workers
-        are copy-on-write replicas of the cluster as it exists at the
-        fork.  ``replicated`` process factories (``factory(cluster) ->
-        generator``) are started identically in every replica -- the
-        hook deterministic background load (e.g. a migration storm)
-        uses to run in lockstep across processes.  Call
-        :meth:`shutdown` (or ``runtime.stop()``) when done.
-        """
-        if self.sharded:
-            raise ShardError("cluster is already sharded")
-        self.runtime = ShardedRuntime(
-            self, workers if workers is not None else (self._workers or None),
-            replicated=replicated)
-        return self.runtime.start()
-
-    def _ensure_sharded(self) -> None:
-        if self._workers > 0 and self.runtime is None:
-            self.shard(self._workers)
-
-    def shutdown(self) -> None:
-        """Stop worker processes (no-op for in-process clusters)."""
-        if self.runtime is not None:
-            self.runtime.stop()
-
-    def _forbid_sharded(self, operation: str) -> None:
-        if self.sharded:
-            raise ShardError(
-                f"{operation} is not supported while sharded: cluster "
-                "membership must be fixed before the fork")
 
     # -- cluster membership -------------------------------------------------------
     def add_node(self) -> int:
@@ -206,7 +157,6 @@ class PulseCluster:
         starts cold; call :meth:`rebalance_once` (or leave the
         rebalancer running) to shift load onto it.
         """
-        self._forbid_sharded("add_node")
         node = self.memory.add_node()
         node.attach_metrics(self.registry, clock=lambda: self.env.now)
         acc = Accelerator(self.env, node, self.fabric, self.params,
@@ -231,20 +181,7 @@ class PulseCluster:
         ``params.durability.enabled`` -- without replicated logs a crash
         would silently lose acknowledged writes, which this simulator
         refuses to model as a supported operation.
-
-        Under sharding the kill is broadcast as a control record so
-        every replica applies it at the identical instant of the next
-        sync window.  For a deterministic mid-run schedule, prefer a
-        :class:`~repro.durability.recovery.CrashInjector` passed as a
-        replicated factory to :meth:`shard`.
         """
-        if self.sharded:
-            self.runtime.kill_node(node_id)
-            return
-        self._kill_node_local(node_id)
-
-    def _kill_node_local(self, node_id: int) -> None:
-        """Apply the crash in this process (see :meth:`kill_node`)."""
         if self.durability is None:
             raise DurabilityError(
                 "kill_node requires params.durability.enabled: without "
@@ -267,29 +204,20 @@ class PulseCluster:
         ``cluster.env.run(until=cluster.drain_node(1))`` -- so traversals
         keep running while the drain progresses.
         """
-        self._forbid_sharded("drain_node")
         return self.placement.drain_node(node_id)
 
     def migrate(self, virt_start: int, virt_end: int, dst_node: int):
         """Live-migrate one virtual range.
 
-        In-process this returns the sim process; under sharding the
-        migration is broadcast as a control record applied at the same
-        instant in every replica, and the returned event fires when the
-        coordinator's copy completes -- both forms work with
-        ``env.run(until=...)``.
+        Returns the sim process, so it works with ``env.run(until=...)``.
         """
-        if self.sharded:
-            return self.runtime.migrate(virt_start, virt_end, dst_node)
         return self.placement.migrate(virt_start, virt_end, dst_node)
 
     def rebalance_once(self):
         """Run a single rebalancer round; returns the sim process."""
-        self._forbid_sharded("rebalance_once")
         return self.placement.rebalance_once()
 
     def start_rebalancer(self) -> None:
-        self._forbid_sharded("start_rebalancer")
         self.placement.start_rebalancer()
 
     def stop_rebalancer(self) -> None:
@@ -325,7 +253,6 @@ class PulseCluster:
         them, so many in-flight submissions naturally spread over the
         clients (and their doorbell batchers).
         """
-        self._ensure_sharded()
         return self._pick_client().submit(iterator, *args)
 
     def submit_many(self, requests: Sequence[Tuple[PulseIterator, tuple]]
@@ -340,7 +267,6 @@ class PulseCluster:
         """
         if not requests:
             return []
-        self._ensure_sharded()
         client = self._pick_client()
         return client.submit_many(requests)
 
@@ -355,7 +281,6 @@ class PulseCluster:
     def run_traversal(self, iterator: PulseIterator,
                       *args) -> TraversalResult:
         """Convenience: run one traversal to completion synchronously."""
-        self._ensure_sharded()
         process = self.env.process(
             self.clients[0].traverse(iterator, *args))
         return self.env.run(until=process)
@@ -363,7 +288,6 @@ class PulseCluster:
     def run_workload(self, operations: Sequence[Tuple[PulseIterator, tuple]],
                      concurrency: int = 8,
                      warmup: int = 0) -> WorkloadStats:
-        self._ensure_sharded()
         return run_workload(self, operations, concurrency, warmup)
 
     # -- observability ------------------------------------------------------------
@@ -392,16 +316,7 @@ class PulseCluster:
         Resets every registry metric and re-bases the busy-time windows
         of the network endpoints, so utilizations and histograms cover
         only what happens after this call.
-
-        Under sharding, the coordinator resets immediately and each
-        worker resets at the start of the next sync window -- still
-        before any post-reset traffic can reach it.
         """
-        self._begin_measurement_local()
-        if self.sharded:
-            self.runtime.begin_measurement()
-
-    def _begin_measurement_local(self) -> None:
         self.registry.reset()
         self.fabric.begin_window()
         for acc in self.accelerators:
@@ -410,22 +325,11 @@ class PulseCluster:
                 core.logic_pipeline.begin_window()
 
     def metrics_snapshot(self) -> dict:
-        """One JSON-able export of every metric in the rack.
-
-        When the cluster is sharded, worker-owned ``mem{i}.*`` /
-        ``net.mem{i}.*`` metrics are pulled from the worker processes
-        and merged into one rack-wide view.
-        """
-        if self.runtime is not None and self.runtime._started:
-            return self.runtime.metrics_snapshot()
+        """One JSON-able export of every metric in the rack."""
         return self.registry.snapshot()
 
     def timeline(self, request_id: Tuple[int, int]) -> List[dict]:
-        """One request's events (``trace=True``), in time order.
-
-        Reads the merged snapshot, so a sharded run yields the same
-        timeline as the in-process one.
-        """
+        """One request's events (``trace=True``), in time order."""
         return request_timeline(self.metrics_snapshot(), request_id)
 
     def render(self, request_id: Optional[Tuple[int, int]] = None) -> str:

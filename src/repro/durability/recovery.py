@@ -11,8 +11,7 @@ recovery schedule:
 2. **Replay** -- a timed phase charging the elected owners' log/extent
    replay at ``replay_bandwidth_bytes_per_ns`` plus a fixed per-range
    cursor cost, sized from the dead node's *mapped* TCAM coverage
-   (pure metadata, so every process in a sharded run charges the
-   identical time).
+   (pure metadata, so the charge is deterministic).
 3. **Fence** -- zero simulated time, mirroring the migration fence: for
    each home-aligned segment the dead node owned, the elected replica
    owner adopts physical memory, maps the segment, restores content
@@ -25,10 +24,11 @@ recovery schedule:
    each against the live map, and re-injects it at the new owner.
    Clients see elevated latency, not faults.
 
-Known limitations (documented, asserted nowhere): a segment migrated
-*after* a STORE was acknowledged strands that record's replicas on the
-peers of its old home; one crash at a time; crash schedules must not
-race migrations of the affected ranges.
+Known limitations (no test asserts them; ROADMAP.md tracks the fix): a
+segment migrated *after* a STORE was acknowledged strands that record's
+replicas on the peers of its old home, so a later crash can return the
+pre-update value with ``ok=True``; one crash at a time; crash schedules
+must not race migrations of the affected ranges.
 """
 
 from __future__ import annotations
@@ -190,14 +190,10 @@ class RecoveryManager:
 
 
 class CrashInjector:
-    """A deterministic kill schedule usable as a replicated factory.
+    """A deterministic kill schedule: ``factory(cluster) -> generator``.
 
-    ``cluster.shard(replicated=(CrashInjector(node, at_ns),))`` runs the
-    identical kill at the identical instant in every replica.  The
-    injector applies the kill *locally* on purpose: the public
-    ``cluster.kill_node`` broadcasts from the coordinator (workers see
-    it at the next window), which a replicated factory must not mix
-    with -- every replica is already running this schedule itself.
+    ``cluster.env.process(CrashInjector(node, at_ns)(cluster))`` kills
+    ``node`` at simulated time ``at_ns``.
     """
 
     def __init__(self, node_id: int, at_ns: float):
@@ -207,5 +203,5 @@ class CrashInjector:
     def __call__(self, cluster):
         def crash():
             yield cluster.env.timeout(self.at_ns)
-            cluster._kill_node_local(self.node_id)
+            cluster.kill_node(self.node_id)
         return crash()

@@ -1,14 +1,16 @@
 """Replica placement and the replica byte store.
 
-Placement is purely arithmetic so every process in a sharded run (and
-recovery, later) derives the identical layout without coordination:
-a record's *home* is the arithmetic owner of its vaddr, its replica
-targets are the first ``k - 1`` live nodes cyclically after the home
-(skipping the writer itself), and the owner elected for a dead node's
-home segment is the first live node cyclically after the home.  When
-the writer *is* the arithmetic home -- the steady state -- the elected
-owner is exactly the first replica target, so the node that wins the
-election already holds the replicated content.
+Placement is purely arithmetic.  A record's *home* is the arithmetic
+owner of its vaddr (``addrspace.node_of``), not its live owner in the
+placement map.  Its replica targets are the first ``k - 1`` live nodes
+cyclically after the home (skipping the writer itself), and the owner
+elected for a dead node's home segment is the first live node
+cyclically after the home.  When the writer *is* the arithmetic home --
+the steady state -- the elected owner is exactly the first replica
+target, so the node that wins the election already holds the
+replicated content.  Once a migration moves a range away from its
+arithmetic home, that agreement breaks; see the known limitations in
+:mod:`repro.durability.recovery`.
 """
 
 from __future__ import annotations

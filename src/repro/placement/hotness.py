@@ -33,11 +33,11 @@ own :meth:`HotnessTracker.node_view` -- a child tracker with a private
 RNG stream seeded from ``(run seed, node id)`` and private segment/edge
 maps.  The parent tracker aggregates across its views for every read
 (gauges, rebalancer queries), so consumers see one rack-wide heat map.
-Per-node streams are what make sharded execution byte-identical to the
-in-process run: a worker process advances exactly the views of the
-nodes it owns, drawing the identical skips the in-process run draws for
-those nodes, and the merged ``placement.hot.*`` gauges sum per-worker
-contributions in the same node order the in-process aggregate uses.
+Per-node streams pin the sample sequence: a node's skips depend only on
+its own loads, not on how other nodes' loads interleave with them, and
+the aggregates sum per-view contributions in node order, which fixes
+the floating-point summation order behind the ``placement.hot.*``
+numbers.
 """
 
 from __future__ import annotations
@@ -93,9 +93,8 @@ class HotnessTracker:
         """The per-node child tracker accelerator ``node_id`` samples into.
 
         Created on first request with an RNG stream seeded from
-        ``(run seed, node id)`` -- a worker process that only ever
-        advances its own nodes' views draws exactly the skips the
-        in-process run draws for those nodes.
+        ``(run seed, node id)``, so the node's skips depend only on the
+        loads it executes itself.
         """
         view = self._views.get(node_id)
         if view is None:
@@ -352,9 +351,8 @@ class HotnessTracker:
     def node_heat(self, rangemap) -> Dict[int, float]:
         """Decayed counts summed per owning node (via the placement map).
 
-        Accumulated source by source in node-view order, so the
-        floating-point addition order matches the sharded merge (which
-        sums per-worker gauge values in the same sorted node order).
+        Accumulated source by source in node-view order, which fixes
+        the floating-point addition order of the per-node totals.
         """
         totals: Dict[int, float] = {}
         for src in self._sources():
@@ -378,9 +376,7 @@ class HotnessTracker:
                        fn=lambda: self.edge_samples)
 
         def peak() -> float:
-            # max over per-view peaks (not the peak of the summed map):
-            # the sharded merge takes the max of per-worker gauge
-            # values, which is exactly this quantity.
+            # max over per-view peaks, not the peak of the summed map
             return max(src._own_peak() for src in self._sources())
 
         registry.gauge("placement.hot.peak", fn=peak)

@@ -278,8 +278,8 @@ class Rebalancer:
         load and removes switch hops.  The cold/fill phase prefers cold
         pieces with *low* external affinity, so evening capacity avoids
         shearing a chain away from its traversal neighbors.  The segment
-        id tie-break makes each round's plan reproducible across
-        sharded and unsharded runs (dict/scan order must not decide).
+        id tie-break makes each round's plan reproducible (dict/scan
+        order must not decide).
         """
         segment = self.params.segment_bytes
         spans: List[Tuple[float, float, int, int]] = []

@@ -49,9 +49,8 @@ class PlacementService:
         give its miss path the shared map (its migration journal).
 
         Each accelerator samples into its node's private view (own RNG
-        stream seeded from the node id), so a sharded worker that only
-        executes its own nodes draws the identical skips the in-process
-        run draws -- ``placement.hot.*`` stays byte-identical either way.
+        stream seeded from the node id), so a node's sample sequence
+        does not depend on how other nodes' loads interleave with it.
         """
         accelerator.hotness = self.tracker.node_view(
             accelerator.node.node_id)

@@ -295,14 +295,6 @@ class Environment:
         self._queue: List = []
         self._sequence = count()
         self._active_process: Optional[Process] = None
-        #: conservative-lookahead window (sharded execution): events at
-        #: or beyond this time may not be processed until the window
-        #: hook has synchronized with the other shard processes
-        self._window_end = float("inf")
-        #: ``hook(limit) -> bool``: exchange frames with the other shard
-        #: processes and extend the window; returns False when no event
-        #: anywhere in the sharded cluster exists at time <= ``limit``
-        self._window_hook: Optional[Callable[[float], bool]] = None
 
     @property
     def now(self) -> float:
@@ -337,83 +329,11 @@ class Environment:
             (self._now + delay, priority, next(self._sequence), event),
         )
 
-    def schedule_at(self, event: Event, when: float,
-                    priority: int = NORMAL) -> None:
-        """Schedule ``event`` at an absolute time (sharded frame import).
-
-        Unlike :meth:`schedule`, which is relative to ``now``, this pins
-        the event to an absolute timestamp -- the arrival time a remote
-        shard computed when it exported the frame.
-        """
-        if when < self._now:
-            raise SimulationError(
-                f"schedule_at({when}) is in the past (now={self._now})")
-        heapq.heappush(
-            self._queue, (when, priority, next(self._sequence), event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if not self._queue:
             return float("inf")
         return self._queue[0][0]
-
-    # -- conservative lookahead windows (sharded execution) ----------------
-    @property
-    def window_end(self) -> float:
-        return self._window_end
-
-    def set_window_hook(self, hook: Callable[[float], bool],
-                        window_end: Optional[float] = None) -> None:
-        """Install the shard-coordinator window barrier.
-
-        With a hook installed, :meth:`run` only processes events strictly
-        before ``window_end``; to get past it, the loop calls
-        ``hook(limit)``, which must either extend the window (returning
-        True) or report that no event anywhere in the sharded cluster
-        exists at time <= ``limit`` (returning False).
-        """
-        self._window_hook = hook
-        self._window_end = (window_end if window_end is not None
-                            else self._now)
-
-    def clear_window_hook(self) -> None:
-        self._window_hook = None
-        self._window_end = float("inf")
-
-    def advance_window(self, end: float) -> None:
-        """Extend the lookahead window (called by the window hook)."""
-        if end < self._window_end and self._window_end != float("inf"):
-            raise SimulationError(
-                f"window must advance monotonically "
-                f"({end} < {self._window_end})")
-        self._window_end = end
-
-    def _window_gate(self, limit: float = float("inf")) -> bool:
-        """True when the head event may be stepped right now.
-
-        Without a hook this is simply queue non-emptiness.  With one,
-        events at or beyond the window trigger sync rounds until either
-        the window covers the head event or the hook reports that no
-        progress at time <= ``limit`` is possible anywhere.
-        """
-        while True:
-            if self._queue and self._queue[0][0] < self._window_end:
-                return True
-            if self._window_hook is None:
-                return bool(self._queue)
-            if not self._window_hook(limit):
-                return bool(self._queue) and (self._queue[0][0]
-                                              < self._window_end)
-
-    def run_window(self, horizon: float) -> None:
-        """Process every event strictly before ``horizon``.
-
-        The shard *worker* loop: the coordinator guarantees (by the
-        lookahead rule) that no frame arriving before ``horizon`` is
-        still in flight, so everything below it can run locally.
-        """
-        while self._queue and self._queue[0][0] < horizon:
-            self.step()
 
     def step(self) -> None:
         """Process the next event; raises IndexError if the queue is empty."""
@@ -432,7 +352,7 @@ class Environment:
         if isinstance(until, Event):
             stop = until
             while not stop.processed:
-                if not self._window_gate():
+                if not self._queue:
                     raise SimulationError(
                         "simulation ran out of events before the awaited "
                         "event fired (deadlock?)"
@@ -449,11 +369,11 @@ class Environment:
                 raise SimulationError(
                     f"run(until={horizon}) is in the past (now={self._now})"
                 )
-            while self._window_gate(horizon) and self._queue[0][0] <= horizon:
+            while self._queue and self._queue[0][0] <= horizon:
                 self.step()
             self._now = horizon
             return None
 
-        while self._window_gate():
+        while self._queue:
             self.step()
         return None

@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.params import NetworkParams
-from repro.sim.engine import Environment, Event, SimulationError
+from repro.sim.engine import Environment, SimulationError
 from repro.sim.resources import Resource, Store
 
 
@@ -184,12 +184,6 @@ class Fabric:
         #: delivered / offered across the whole fabric -- the goodput
         #: denominator the loss-sweep report reads
         registry.gauge("net.delivery_ratio", fn=self._delivery_ratio)
-        #: sharded-execution seam (see ``repro.shard``): when set,
-        #: messages to endpoints owned by another process are exported
-        #: at tx-end -- with propagation, jitter, and the drop verdict
-        #: computed eagerly, since the sender owns this link's RNG --
-        #: and the owning process finishes delivery at arrival time
-        self.shard_router = None
 
     @property
     def dropped_messages(self) -> int:
@@ -290,26 +284,6 @@ class Fabric:
                        + self.params.switch_process_ns
                        + extra_latency_ns)
         profile = self._links.get((message.src, message.dst))
-
-        router = self.shard_router
-        if router is not None and not router.owns(message.dst):
-            # Shard boundary: resolve the whole arrival verdict now.
-            # Jitter and drop come from the same per-link RNG as the
-            # in-process path; only this process ever draws from it, so
-            # sharded runs are reproducible (the draw *interleaving*
-            # differs from in-process only on lossy links, where jitter
-            # and drop were previously drawn at different sim times).
-            if profile is not None and profile.jitter_ns > 0.0:
-                rng = self._link_rng(message.src, message.dst)
-                propagation += rng.uniform(0.0, profile.jitter_ns)
-            if profile is not None and profile.drop_probability > 0.0:
-                rng = self._link_rng(message.src, message.dst)
-                if rng.random() < profile.drop_probability:
-                    self._dropped.inc()
-                    return
-            router.export(message, self.env.now + propagation)
-            return
-
         if profile is not None and profile.jitter_ns > 0.0:
             rng = self._link_rng(message.src, message.dst)
             propagation += rng.uniform(0.0, profile.jitter_ns)
@@ -326,27 +300,8 @@ class Fabric:
             self._dropped.inc()
             return
 
-        self._finish_delivery(message)
-
-    def _finish_delivery(self, message: Message) -> None:
-        """Receive-side accounting + inbox delivery (one code path for
-        the in-process tail and sharded frame import)."""
-        dst = self._endpoints[message.dst]
         message.hops += 1
         dst._rx_bytes.inc(message.size_bytes)
         dst._rx_messages.inc()
         self._delivered.inc()
         dst.inbox.put(message)
-
-    def inject(self, message: Message, arrival_ns: float) -> None:
-        """Deliver a frame exported by another shard at ``arrival_ns``.
-
-        The exporting process already charged serialization and
-        computed propagation/jitter/drop; this schedules only the
-        receive side, at the absolute arrival time it computed.
-        """
-        event = Event(self.env)
-        event._ok = True
-        event.callbacks.append(
-            lambda _e, m=message: self._finish_delivery(m))
-        self.env.schedule_at(event, arrival_ns)

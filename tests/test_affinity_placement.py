@@ -68,8 +68,8 @@ class TestTraversalArenas:
         extents = {gm.allocator.arena_extent_of(a) for a in addrs}
         assert len(extents) == 2
         assert len(gm.allocator.arena_extents()) == 2
-        # Extent list is sorted by virtual start (the rebalancer and the
-        # sharded replicas both rely on this order being deterministic).
+        # Extent list is sorted by virtual start (the rebalancer relies
+        # on this order being deterministic).
         starts = [s for s, _ in gm.allocator.arena_extents()]
         assert starts == sorted(starts)
 
@@ -316,8 +316,7 @@ class TestCutPhase:
     def test_candidates_tie_break_by_segment_id(self):
         # With no heat and no edges every span scores (0.0, 0.0):
         # the order must fall back to ascending segment start, in both
-        # cold-first and hot-first modes (satellite: deterministic plans
-        # for sharded/unsharded equivalence).
+        # cold-first and hot-first modes, so plans are reproducible.
         cluster, _a, _b = self.build()
         for _ in range(6):
             cluster.memory.alloc(256, preferred_node=0)

@@ -22,7 +22,6 @@ QUICK_EXAMPLES = [
     "batch_machine.py",
     "scale_out.py",
     "split_index.py",
-    "sharded_cluster.py",
     "crash_recovery.py",
 ]
 

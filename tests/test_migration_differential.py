@@ -30,8 +30,9 @@ def storm_params():
         ))
 
 
-def build_cluster(structure, seed=7):
-    cluster = PulseCluster(node_count=2, params=storm_params(), seed=seed)
+def build_cluster(structure, seed=7, **kwargs):
+    cluster = PulseCluster(node_count=2, params=storm_params(), seed=seed,
+                           **kwargs)
     if structure == "hashtable":
         table = HashTable(cluster.memory, buckets=32)
         for k in range(KEYS):
@@ -219,3 +220,35 @@ def test_storm_with_drain_and_scale_out():
     # And a fresh pass over the drained layout still reads every key.
     for k in (0, KEYS // 2, KEYS - 1):
         assert cluster.run_traversal(iterator, k).value[:8] == expected[k]
+
+
+def test_batch_demotion_races_migration():
+    """Mid-batch MOVED demotions resume bit-exact on the new owner.
+
+    The doorbell batcher coalesces the stream into multi-request frames
+    whose lanes execute in lockstep on the accelerator; a racing
+    migration flips ownership mid-batch, so lanes hit
+    ``RequestStatus.MOVED``, demote out of the batch, and retry at the
+    live owner.  The stormed run must return the quiet run's values.
+    With the batch tier stepped aside (``PULSE_INTERP=1`` or
+    ``PULSE_BATCH=0``) there are no lanes to demote, but the storm must
+    still bounce requests through MOVED.
+    """
+    def build():
+        return build_cluster("linkedlist", batch_lanes=16, batch_size=32)
+
+    baseline = run_stream(*build())
+    cluster, iterator = build()
+    stormed = run_stream(cluster, iterator, storm=True)
+    assert all(r.ok for r in stormed), [r.fault for r in stormed
+                                        if not r.ok]
+    assert [r.value for r in stormed] == [r.value for r in baseline]
+    counters = cluster.metrics_snapshot()["counters"]
+    demotions = sum(v for k, v in counters.items()
+                    if k.endswith(".acc.batch.demotions"))
+    moved = sum(v for k, v in counters.items()
+                if k.endswith(".acc.moved_replies"))
+    batched = cluster.accelerators[0].batch_lanes > 1
+    assert demotions > 0 or not batched, "storm never demoted a batch lane"
+    assert moved > 0, "storm never produced a MOVED reply"
+    assert counters.get("switch.moved_redirects", 0) > 0

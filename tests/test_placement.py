@@ -163,6 +163,27 @@ class TestHotnessTracker:
             b.sample(0x1000)
         assert a.heat_of(0x1000) == b.heat_of(0x1000)
 
+    def test_same_seed_racks_snapshot_identically(self):
+        # Full-snapshot equality across two same-seed runs, hotness
+        # sampling included: every node samples through its own view,
+        # with an RNG stream seeded from (rack seed, node id).
+        def run():
+            cluster = PulseCluster(node_count=4, seed=7)
+            chain = LinkedList(cluster.memory, placement=lambda o: o % 4)
+            chain.extend([(k, k * 3 + 1) for k in range(48)])
+            iterator = chain.find_iterator()
+            pending = [cluster.submit(iterator, k) for k in range(48)]
+            cluster.env.run(until=cluster.env.all_of(
+                [p._process for p in pending]))
+            return ([p.result.value for p in pending],
+                    cluster.metrics_snapshot(), cluster.env.now)
+
+        first, second = run(), run()
+        assert first == second
+        gauges = first[1]["gauges"]
+        assert all(gauges[f"placement.hot.mem{i}"] > 0 for i in range(4))
+        assert gauges["placement.hot.edge_samples"] > 0
+
     def test_hot_segments_ranked(self):
         tracker = self.make()
         for _ in range(3):

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.core import PulseCluster
 from repro.obs import MetricsRegistry, render_events, request_timeline
 from repro.sim import Environment
@@ -79,22 +77,18 @@ class TestTracerUnit:
         assert snapshot["counters"]["obs.events_dropped"] == 0
 
 
-def alternating_find(workers):
+def alternating_find():
     """find(5) on a 5-element chain alternating between two nodes."""
-    cluster = PulseCluster(node_count=2, trace=True, workers=workers)
+    cluster = PulseCluster(node_count=2, trace=True)
     lst = LinkedList(cluster.memory, placement=lambda o: o % 2)
     lst.extend((k, k) for k in range(1, 6))
-    try:
-        result = cluster.run_traversal(lst.find_iterator(), 5)
-        return result, cluster.timeline((0, 1)), cluster.render((0, 1))
-    finally:
-        cluster.shutdown()
+    result = cluster.run_traversal(lst.find_iterator(), 5)
+    return result, cluster.timeline((0, 1)), cluster.render((0, 1))
 
 
 class TestClusterTracing:
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_full_request_timeline(self, workers):
-        result, timeline, text = alternating_find(workers)
+    def test_full_request_timeline(self):
+        result, timeline, text = alternating_find()
         assert result.value == 5
 
         events = [e["event"] for e in timeline]
@@ -113,16 +107,6 @@ class TestClusterTracing:
         span = timeline[-1]["time_ns"] - timeline[0]["time_ns"]
         assert span <= result.latency_ns
         assert span > 0.5 * result.latency_ns
-
-    def test_sharded_timeline_matches_in_process(self):
-        def key(timeline):
-            return [(e["time_ns"], e["component"], e["event"])
-                    for e in timeline]
-
-        _, local, _ = alternating_find(0)
-        _, sharded, _ = alternating_find(2)
-        assert len(local) == 18
-        assert key(sharded) == key(local)
 
     def test_tracing_off_by_default(self):
         cluster = PulseCluster(node_count=1)
