@@ -44,6 +44,7 @@ from repro.mem.translation import (ProtectionFault, TranslationCache,
                                    TranslationFault)
 from repro.obs.metrics import MetricsRegistry
 from repro.params import SystemParams
+from repro.placement.rangemap import PlacementMap
 from repro.sim.engine import Environment
 from repro.sim.network import Fabric, Message
 from repro.sim.resources import Resource
@@ -78,7 +79,8 @@ class Accelerator:
     """The SmartNIC accelerator serving one memory node."""
 
     def __init__(self, env: Environment, node: MemoryNode, fabric: Fabric,
-                 params: SystemParams, switch_name: str = "switch",
+                 params: SystemParams, placement_map: PlacementMap,
+                 switch_name: str = "switch",
                  cores: Optional[int] = None,
                  shared_interconnect: bool = True,
                  split_loads: bool = False,
@@ -89,6 +91,9 @@ class Accelerator:
         self.node = node
         self.fabric = fabric
         self.params = params
+        #: the rack's live ownership rules, shared with the switch: the
+        #: miss path's one authority on where a segment lives now
+        self.placement_map = placement_map
         self.switch_name = switch_name
         self.name = node.name
         acc = params.accelerator
@@ -165,14 +170,10 @@ class Accelerator:
         self._m_direct_reads = registry.counter(f"{prefix}.direct_reads")
         self._m_direct_nacks = registry.counter(
             f"{prefix}.direct_read_nacks")
-        #: optional elastic-placement hooks, attached by
+        #: elastic-placement hook, attached by
         #: :class:`~repro.placement.service.PlacementService`: the
-        #: hotness tracker sampled by the memory pipeline, and the
-        #: shared placement map the miss path consults as its
-        #: migration journal (a pointer that is arithmetically *ours*
-        #: but unmapped and owned elsewhere has migrated away).
+        #: hotness tracker sampled by the memory pipeline
         self.hotness = None
-        self.placement_map = None
         #: optional durability hooks, attached by
         #: :class:`~repro.durability.service.DurabilityService`: this
         #: node's redo log / group-commit state.  ``dead`` is the crash
@@ -330,9 +331,7 @@ class Accelerator:
         self.registry.event(self.name, "direct_read", request.request_id,
                             vaddr=request.vaddr)
 
-        live_owner = (self.placement_map.node_of(request.vaddr)
-                      if self.placement_map is not None
-                      else self.node.addrspace.node_of(request.vaddr))
+        live_owner = self.placement_map.node_of(request.vaddr)
         ok, data, reason = False, b"", ""
         if live_owner != self.node.node_id:
             reason = f"segment {request.vaddr:#x} migrated away"
@@ -361,11 +360,10 @@ class Accelerator:
         if not ok:
             self._m_direct_nacks.inc()
 
-        map_version = (self.placement_map.version
-                       if self.placement_map is not None else 0)
         reply = DirectReadReply(
             request_id=request.request_id, vaddr=request.vaddr, ok=ok,
-            data=data, map_version=map_version, nack_reason=reason)
+            data=data, map_version=self.placement_map.version,
+            nack_reason=reason)
         yield from self._hold(self.tx_unit, acc.netstack_occupancy_ns)
         yield self.env.timeout(acc.netstack_ns - acc.netstack_occupancy_ns)
         self._span_netstack.record(acc.netstack_ns)
@@ -755,16 +753,18 @@ class Accelerator:
                        last_load: Optional[int] = None) -> TraversalRequest:
         """Translation miss: re-route, redirect (migrated), or fault.
 
-        A pointer arithmetically *foreign* is the paper's distributed
+        The live placement map -- the switch's own rules -- decides.  A
+        pointer arithmetically *foreign* is the paper's distributed
         hop: bounce it as RUNNING and let the switch route it (§5) --
-        unless the live placement rules say the switch would route it
-        straight back here, in which case it faults.  A
-        pointer arithmetically *ours* but unmapped has either migrated
-        away -- the forwarding table (fresh migrations) or the shared
-        placement map (stragglers past the window) says so, and the
-        reply is MOVED so the switch retries it at the live owner -- or
-        it is genuinely invalid and faults.
+        unless the live rules say the switch would route it straight
+        back here, in which case it faults.  A pointer arithmetically
+        *ours* but unmapped has either migrated away -- the live map
+        names another owner, and the reply is MOVED so the switch
+        retries it there -- or it is genuinely invalid and faults.
         """
+        live_owner = self.placement_map.node_of(load_addr)
+        elsewhere = (live_owner is not None
+                     and live_owner != self.node.node_id)
         owner = self.node.addrspace.node_of(load_addr)
         if owner is not None and owner != self.node.node_id:
             # Arithmetically foreign -- but the switch routes RUNNING
@@ -774,9 +774,7 @@ class Accelerator:
             # forever (node_hops grows each leg, so the stale-epoch
             # filter never drops it); only reroute when the live owner
             # really is someone else, and fault otherwise.
-            live_owner = (self.placement_map.node_of(load_addr)
-                          if self.placement_map is not None else owner)
-            if live_owner is not None and live_owner != self.node.node_id:
+            if elsewhere:
                 self._m_rerouted.inc()
                 response = request.advanced(
                     cur_ptr, scratch, iterations,
@@ -789,12 +787,7 @@ class Accelerator:
                 RequestStatus.FAULT,
                 f"invalid pointer {load_addr:#x}: unmapped on its live "
                 f"owner")
-        moved = self.node.forwarding.lookup(load_addr) is not None
-        if not moved and self.placement_map is not None:
-            live_owner = self.placement_map.node_of(load_addr)
-            moved = (live_owner is not None
-                     and live_owner != self.node.node_id)
-        if moved:
+        if elsewhere:
             self._m_moved.inc()
             response = request.advanced(
                 cur_ptr, scratch, iterations,

@@ -93,7 +93,7 @@ class PulseCluster:
                                  batch_lanes=batch_lanes)
         self.accelerators: List[Accelerator] = [
             Accelerator(self.env, node, self.fabric, self.params,
-                        registry=self.registry,
+                        self.memory.placement, registry=self.registry,
                         **self._acc_options)
             for node in self.memory.nodes
         ]
@@ -160,7 +160,7 @@ class PulseCluster:
         node = self.memory.add_node()
         node.attach_metrics(self.registry, clock=lambda: self.env.now)
         acc = Accelerator(self.env, node, self.fabric, self.params,
-                          registry=self.registry,
+                          self.memory.placement, registry=self.registry,
                           **self._acc_options)
         self.accelerators.append(acc)
         self.placement.on_node_added(node.node_id)

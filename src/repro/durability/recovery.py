@@ -12,23 +12,26 @@ recovery schedule:
    replay at ``replay_bandwidth_bytes_per_ns`` plus a fixed per-range
    cursor cost, sized from the dead node's *mapped* TCAM coverage
    (pure metadata, so the charge is deterministic).
-3. **Fence** -- zero simulated time, mirroring the migration fence: for
-   each home-aligned segment the dead node owned, the elected replica
-   owner adopts physical memory, maps the segment, restores content
-   from the bootstrap store plus its replica store (never from the dead
-   DRAM), and the allocator + placement map retarget the range -- the
-   switch-rule update.
+3. **Fence** -- zero simulated time, through the migration engine's
+   own :func:`repro.placement.migration.fence`: for each home-aligned
+   segment the dead node owned, the elected replica owner adopts
+   physical memory and maps the segment zero-filled, the allocator +
+   placement map retarget the range (the switch-rule update), and the
+   owner restores content from the bootstrap store plus its replica
+   store (never from the dead DRAM).
 4. **Resume** -- the switch reclaims every unacked frame it ever sent
    toward the dead node (checkpointed mid-traversal continuations *and*
    fresh submissions still retrying into the black hole), re-resolves
    each against the live map, and re-injects it at the new owner.
    Clients see elevated latency, not faults.
 
-Known limitations (no test asserts them; ROADMAP.md tracks the fix): a
-segment migrated *after* a STORE was acknowledged strands that record's
-replicas on the peers of its old home, so a later crash can return the
-pre-update value with ``ok=True``; one crash at a time; crash schedules
-must not race migrations of the affected ranges.
+Known limitations (ROADMAP.md tracks the fix): a segment migrated
+*after* a STORE was acknowledged strands that record's replicas on the
+peers of its old home, so a later crash can return the pre-update value
+with ``ok=True`` -- pinned by the strict xfail
+``tests/test_durability.py::test_migrate_then_crash_keeps_acked_writes``;
+one crash at a time; crash schedules must not race migrations of the
+affected ranges.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import List, Tuple
 
 from repro.durability.replication import elect_owner
 from repro.mem.translation import RangeEntry
-from repro.placement.migration import MigrationEngine
+from repro.placement.migration import MigrationError, fence, mapped_pieces
 
 
 class RecoveryError(Exception):
@@ -70,8 +73,8 @@ class RecoveryManager:
             segments.extend(self._split_homes(start, end))
         pieces = []
         for start, end in segments:
-            pieces.extend(MigrationEngine._mapped_pieces(
-                dead_node.table.entries, start, end))
+            pieces.extend(mapped_pieces(dead_node.table.entries, start,
+                                        end))
         replay_bytes = sum(end - start for start, end in pieces)
         replay_ns = (len(pieces) * self.params.replay_range_ns
                      + replay_bytes
@@ -113,8 +116,6 @@ class RecoveryManager:
     def _rehome(self, dead: int, virt_start: int, virt_end: int) -> None:
         """Adopt one home-aligned segment on the elected replica owner."""
         memory = self.memory
-        allocator = memory.allocator
-        dead_node = memory.nodes[dead]
         home = memory.addrspace.node_of(virt_start)
         owner = elect_owner(home, dead, memory.node_count,
                             self.service.live)
@@ -122,44 +123,22 @@ class RecoveryManager:
             raise RecoveryError(
                 f"no live node can adopt [{virt_start:#x},{virt_end:#x}) "
                 f"from dead node {dead}")
-        dst_node = memory.nodes[owner]
-        pieces = MigrationEngine._mapped_pieces(dead_node.table.entries,
-                                                virt_start, virt_end)
-        total = sum(end - start for start, end in pieces)
-        if total and allocator.phys_available(owner) < total:
-            raise RecoveryError(
-                f"node {owner} lacks {total} physical bytes to adopt "
-                f"[{virt_start:#x},{virt_end:#x})")
-        if len(dst_node.table) + len(pieces) > dst_node.table.capacity:
-            raise RecoveryError(
-                f"node {owner} TCAM cannot hold {len(pieces)} more "
-                "entries")
-        if total:
-            dst_phys = allocator.adopt_physical(owner, total)
-        try:
-            removed = dead_node.table.remove_range(virt_start, virt_end)
-        except ValueError as exc:
-            if total:
-                allocator.release_physical(owner, dst_phys, total)
-            raise RecoveryError(str(exc)) from exc
-        inserted: List[RangeEntry] = []
-        offset = 0
-        for piece in removed:
-            size = piece.virt_end - piece.virt_start
+        dst_memory = memory.nodes[owner].memory
+
+        def zero_fill(piece: RangeEntry, dst_phys: int) -> None:
             # The dead DRAM is gone: zero-fill the adopted span (the
             # allocator may hand back a previously-used hole) and
-            # rebuild content purely from the logged images below.
-            dst_node.memory.write(dst_phys + offset, bytes(size))
-            entry = RangeEntry(virt_start=piece.virt_start,
-                               virt_end=piece.virt_end,
-                               phys_start=dst_phys + offset,
-                               perms=piece.perms)
-            dst_node.table.insert(entry)
-            inserted.append(entry)
-            offset += size
-        self._restore(dst_node, owner, inserted, virt_start, virt_end)
-        allocator.transfer_ownership(virt_start, virt_end, dead, owner)
-        memory.placement.move(virt_start, virt_end, owner)
+            # rebuild content purely from the logged images.
+            dst_memory.write(dst_phys,
+                             bytes(piece.virt_end - piece.virt_start))
+
+        try:
+            inserted, _live = fence(memory, dead, owner, virt_start,
+                                    virt_end, zero_fill)
+        except MigrationError as exc:
+            raise RecoveryError(str(exc)) from exc
+        self._restore(memory.nodes[owner], owner, inserted, virt_start,
+                      virt_end)
 
     def _restore(self, dst_node, owner: int, inserted, virt_start: int,
                  virt_end: int) -> None:

@@ -1,9 +1,9 @@
-"""Observability: metrics registry, spans, event log, and snapshots.
+"""Observability: metrics registry, event log, and snapshots.
 
 See :mod:`repro.obs.metrics` for the registry, metric kinds and the
-per-request event log, and :mod:`repro.obs.span` for per-stage request
-timing.  The snapshot schema
-is documented in ``docs/architecture.md`` (Observability section).
+per-request event log.  Per-stage request timing (the Fig 9 spans) is
+recorded into ``*.span.*`` histograms.  The snapshot schema is
+documented in ``docs/architecture.md`` (Observability section).
 """
 
 from repro.obs.metrics import (
@@ -15,7 +15,6 @@ from repro.obs.metrics import (
     render_events,
     request_timeline,
 )
-from repro.obs.span import Span
 
 __all__ = [
     "Counter",
@@ -23,7 +22,6 @@ __all__ = [
     "Histogram",
     "MetricError",
     "MetricsRegistry",
-    "Span",
     "render_events",
     "request_timeline",
 ]

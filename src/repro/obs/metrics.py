@@ -203,7 +203,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name-keyed counters, gauges, histograms, and spans for one rack."""
+    """Name-keyed counters, gauges, and histograms for one rack."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock = clock if clock is not None else (lambda: 0.0)
@@ -243,10 +243,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
-
-    def span(self, name: str) -> "Span":
-        from repro.obs.span import Span
-        return Span(self.histogram(name), self._clock)
 
     # -- per-request event log -------------------------------------------------
     def enable_events(self, capacity: int = EVENT_CAPACITY) -> None:

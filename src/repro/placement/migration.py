@@ -1,32 +1,34 @@
-"""Live segment migration between memory nodes (three-phase protocol).
+"""Live segment migration between memory nodes, and the ownership fence.
 
-Moving a virtual-address segment while traversals are in flight uses the
-primitives earlier PRs built, composed into three phases:
+Moving a virtual-address segment while traversals are in flight takes
+two phases:
 
 1. **Copy** -- the mapped bytes stream to the destination at a bounded
    migration bandwidth, chunk by chunk, *without* blocking traversals
    (the source keeps serving; writes during the copy are captured by the
    fence's final pass).
-2. **Fence** -- at one simulated instant: the bytes are (re)copied into
-   physical memory adopted on the destination, the source TCAM unmaps
-   the range (one version bump -- every per-core TranslationCache
+2. **Fence** -- at one simulated instant, :func:`fence` re-homes the
+   range: physical memory is adopted on the destination, the source TCAM
+   unmaps the range (one version bump -- every per-core TranslationCache
    invalidates, and in-flight iterations revalidate their held entry
-   before using it), the destination TCAM maps it, the allocator
-   transfers ownership accounting, and the shared
+   before using it), the destination TCAM maps each piece with its
+   bytes, the allocator transfers ownership accounting, and the shared
    :class:`~repro.placement.rangemap.PlacementMap` retargets the range
    (its version bump is the switch-rule update).
-3. **Forwarding window** -- the old owner keeps a redirect hint: a
-   straggler frame that raced the fence gets a ``MOVED`` reply, which
-   the switch retries against the live map.  Hints expire after the
-   window; later stragglers are caught by the accelerator's
-   placement-map fallback (its "migration journal").
 
-A drain is just a loop of migrations until the node owns nothing.
+A straggler frame that raced the fence misses on the old owner, whose
+accelerator reads the live map and replies ``MOVED``; the switch
+retries it at the live owner.
+
+Crash recovery (:mod:`repro.durability.recovery`) re-homes a dead
+node's ranges through the same :func:`fence`, zero-filling the pieces
+instead of copying them.  A drain is just a loop of migrations until
+the node owns nothing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.mem.allocator import AllocationError
 from repro.mem.translation import RangeEntry
@@ -35,6 +37,73 @@ from repro.obs.metrics import MetricsRegistry
 
 class MigrationError(Exception):
     """Invalid or unsatisfiable migration request."""
+
+
+def mapped_pieces(entries, virt_start: int,
+                  virt_end: int) -> List[Tuple[int, int]]:
+    """Entry coverage clipped to [virt_start, virt_end)."""
+    pieces = []
+    for entry in entries:
+        if entry.virt_end <= virt_start or virt_end <= entry.virt_start:
+            continue
+        pieces.append((max(entry.virt_start, virt_start),
+                       min(entry.virt_end, virt_end)))
+    return pieces
+
+
+def fence(memory, src: int, dst: int, virt_start: int, virt_end: int,
+          fill: Callable[[RangeEntry, int], None]
+          ) -> Tuple[List[RangeEntry], int]:
+    """Re-home [virt_start, virt_end) from ``src`` to ``dst`` at once.
+
+    ``fill(piece, dst_phys)`` writes one removed source entry's bytes at
+    its new physical address.  Returns ``(inserted, live_bytes)``: the
+    destination's new TCAM entries and the live-allocation bytes whose
+    ownership moved.
+
+    Failure-atomic: no simulated time passes inside the fence, every
+    check runs before the first destructive step, and the one resource
+    acquired early (the destination's physical reservation) is released
+    if removing the source translations fails -- a fence that raises
+    :class:`MigrationError` leaves the rack exactly as it was.
+    """
+    allocator = memory.allocator
+    src_table = memory.nodes[src].table
+    dst_node = memory.nodes[dst]
+    pieces = mapped_pieces(src_table.entries, virt_start, virt_end)
+    total = sum(end - start for start, end in pieces)
+    if total and allocator.phys_available(dst) < total:
+        raise MigrationError(
+            f"node {dst} lacks {total} physical bytes for "
+            f"[{virt_start:#x},{virt_end:#x})")
+    if len(dst_node.table) + len(pieces) > dst_node.table.capacity:
+        raise MigrationError(
+            f"node {dst} TCAM cannot hold {len(pieces)} more entries")
+    if total:
+        dst_phys = allocator.adopt_physical(dst, total)
+    try:
+        removed = src_table.remove_range(virt_start, virt_end)
+    except ValueError as exc:
+        # Splitting partially covered source entries would overflow the
+        # source TCAM; remove_range mutated nothing, so only the
+        # reservation needs unwinding.
+        if total:
+            allocator.release_physical(dst, dst_phys, total)
+        raise MigrationError(str(exc)) from exc
+    inserted: List[RangeEntry] = []
+    offset = 0
+    for piece in removed:
+        fill(piece, dst_phys + offset)
+        entry = RangeEntry(virt_start=piece.virt_start,
+                           virt_end=piece.virt_end,
+                           phys_start=dst_phys + offset,
+                           perms=piece.perms)
+        dst_node.table.insert(entry)
+        inserted.append(entry)
+        offset += piece.virt_end - piece.virt_start
+    live = allocator.transfer_ownership(virt_start, virt_end, src, dst)
+    memory.placement.move(virt_start, virt_end, dst)
+    return inserted, live
 
 
 class MigrationEngine:
@@ -61,9 +130,6 @@ class MigrationEngine:
         self._hist_ns = registry.histogram("placement.migration_ns")
         registry.gauge("placement.migrations_in_flight",
                        fn=lambda: self.in_flight)
-        registry.gauge("placement.forward_hints",
-                       fn=lambda: sum(len(n.forwarding)
-                                      for n in self.memory.nodes))
 
     # -- public API ---------------------------------------------------------
     def migrate(self, virt_start: int, virt_end: int, dst: int,
@@ -96,10 +162,9 @@ class MigrationEngine:
         if src == dst:
             return 0
 
-        src_node = self.memory.nodes[src]
         dst_node = self.memory.nodes[dst]
-        pieces = self._mapped_pieces(src_node.table.entries,
-                                     virt_start, virt_end)
+        pieces = mapped_pieces(self.memory.nodes[src].table.entries,
+                               virt_start, virt_end)
         if not include_unmapped:
             if not pieces:
                 return 0
@@ -141,8 +206,7 @@ class MigrationEngine:
             # holds.  Every failure surfaces as MigrationError so callers
             # (the rebalancer loop) need to handle exactly one type.
             try:
-                total, live, hint_id = self._fence(src, dst, virt_start,
-                                                   virt_end)
+                total, live = self._fence(src, dst, virt_start, virt_end)
             except MigrationError:
                 self._count_failed()
                 raise
@@ -152,12 +216,6 @@ class MigrationEngine:
             self.last_live_bytes = live
         finally:
             self.in_flight -= 1
-
-        # Phase 3: the forwarding window runs passively (the hint was
-        # installed by the fence); schedule the expiry of exactly *this*
-        # migration's hint.  Expiring by age would let this window's
-        # sweep drop a younger overlapping migration's still-live hint.
-        self.env.process(self._expire_hints(src_node, hint_id))
 
         self.completed += 1
         self.bytes_migrated += total
@@ -176,7 +234,8 @@ class MigrationEngine:
         it), then moves each owned rule to the least-filled candidate
         until the placement map holds no rules for the node -- at which
         point the switch will never route a new frame there, and only
-        forwarding-window stragglers remain.  Returns total bytes moved.
+        stragglers already in flight remain (their misses reply
+        ``MOVED``).  Returns total bytes moved.
         """
         allocator = self.memory.allocator
         allocator.set_allocatable(node_id, False)
@@ -196,69 +255,28 @@ class MigrationEngine:
 
     # -- internals ----------------------------------------------------------
     def _fence(self, src: int, dst: int, virt_start: int,
-               virt_end: int) -> Tuple[int, int, int]:
-        """Atomic switch-over: bytes, TCAMs, allocator, map, hint.
+               virt_end: int) -> Tuple[int, int]:
+        """Copy-and-release switch-over; returns (mapped, live) bytes.
 
-        Returns ``(mapped_bytes, live_bytes, hint_id)``.  Failure-atomic:
-        no simulated time passes inside the fence, so every check re-run
-        at entry holds for the whole switch-over, all validation happens
-        before the first destructive step, and the one resource acquired
-        early (the destination's physical reservation) is released on
-        any later failure -- a fence that raises leaves the cluster
-        exactly as it was.
+        Frees during the copy can merge blocks across the snapped
+        boundary; re-snap first so nothing straddles the ownership edge
+        (this is what lets the fence's ownership transfer never fail).
         """
         allocator = self.memory.allocator
         src_node = self.memory.nodes[src]
-        dst_node = self.memory.nodes[dst]
-        # Frees during the copy can merge blocks across the snapped
-        # boundary; re-snap so nothing straddles the ownership edge
-        # (this is what lets transfer_ownership below never fail).
+        dst_memory = self.memory.nodes[dst].memory
         virt_start, virt_end = allocator.snap_range(src, virt_start,
                                                     virt_end)
-        pieces = self._mapped_pieces(src_node.table.entries,
-                                     virt_start, virt_end)
-        total = sum(end - start for start, end in pieces)
-        if total and allocator.phys_available(dst) < total:
-            raise MigrationError(
-                f"node {dst} filled up during copy: lacks {total} "
-                f"physical bytes for [{virt_start:#x},{virt_end:#x})")
-        if len(dst_node.table) + len(pieces) > dst_node.table.capacity:
-            raise MigrationError(
-                f"node {dst} TCAM cannot hold {len(pieces)} more entries")
-        if total:
-            dst_phys = allocator.adopt_physical(dst, total)
-        try:
-            removed = src_node.table.remove_range(virt_start, virt_end)
-        except ValueError as exc:
-            # Splitting partially covered source entries would overflow
-            # the source TCAM; remove_range mutated nothing, so only the
-            # reservation needs unwinding.
-            if total:
-                allocator.release_physical(dst, dst_phys, total)
-            raise MigrationError(str(exc)) from exc
-        if total:
-            offset = 0
-            for piece in removed:
-                size = piece.virt_end - piece.virt_start
-                data = src_node.memory.read(piece.phys_start, size)
-                dst_node.memory.write(dst_phys + offset, data)
-                dst_node.table.insert(RangeEntry(
-                    virt_start=piece.virt_start,
-                    virt_end=piece.virt_end,
-                    phys_start=dst_phys + offset,
-                    perms=piece.perms))
-                allocator.release_physical(src, piece.phys_start, size)
-                offset += size
-        live = allocator.transfer_ownership(virt_start, virt_end, src,
-                                            dst)
-        self.rangemap.move(virt_start, virt_end, dst)
-        hint_id = src_node.forwarding.install(virt_start, virt_end, dst,
-                                              self.env.now)
-        return total, live, hint_id
 
-    def _expire_hints(self, node, hint_id: int):
-        yield self.env.timeout(self.params.forward_window_ns)
-        node.forwarding.remove(hint_id)
+        def copy(piece: RangeEntry, dst_phys: int) -> None:
+            size = piece.virt_end - piece.virt_start
+            dst_memory.write(dst_phys,
+                             src_node.memory.read(piece.phys_start, size))
+            allocator.release_physical(src, piece.phys_start, size)
+
+        inserted, live = fence(self.memory, src, dst, virt_start,
+                               virt_end, copy)
+        return sum(e.virt_end - e.virt_start for e in inserted), live
 
     def _pick_target(self, node_id: int,
                      targets: Optional[Iterable[int]]) -> Optional[int]:
@@ -273,18 +291,6 @@ class MigrationEngine:
         fills = allocator.node_fill_fractions()
         candidates.sort(key=lambda n: fills[n])
         return candidates[0] if candidates else None
-
-    @staticmethod
-    def _mapped_pieces(entries, virt_start: int,
-                       virt_end: int) -> List[Tuple[int, int]]:
-        """Entry coverage clipped to [virt_start, virt_end)."""
-        pieces = []
-        for entry in entries:
-            if entry.virt_end <= virt_start or virt_end <= entry.virt_start:
-                continue
-            pieces.append((max(entry.virt_start, virt_start),
-                           min(entry.virt_end, virt_end)))
-        return pieces
 
     def _count_failed(self) -> None:
         self._m_failed.inc()

@@ -45,8 +45,7 @@ class PlacementService:
 
     # -- accelerator hookup -------------------------------------------------
     def attach_accelerator(self, accelerator) -> None:
-        """Feed the tracker from this accelerator's memory pipeline and
-        give its miss path the shared map (its migration journal).
+        """Feed the tracker from this accelerator's memory pipeline.
 
         Each accelerator samples into its node's private view (own RNG
         stream seeded from the node id), so a node's sample sequence
@@ -54,7 +53,6 @@ class PlacementService:
         """
         accelerator.hotness = self.tracker.node_view(
             accelerator.node.node_id)
-        accelerator.placement_map = self.rangemap
 
     def on_node_added(self, node_id: int) -> None:
         self._register_heat_gauge(node_id)

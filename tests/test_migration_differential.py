@@ -21,12 +21,13 @@ KEYS = 48
 
 
 def storm_params():
-    # A short forwarding window plus slow copies maximize the chance a
-    # frame races a fence -- the regime the protocol must survive.
+    # Slow copies keep each migration in flight long enough that frames
+    # race its fence -- the regime the protocol must survive: a
+    # straggler reaching the old owner must be answered MOVED from the
+    # live placement map.
     return SystemParams().with_overrides(
         placement=PlacementParams(
             migration_bandwidth_bytes_per_ns=2.0,
-            forward_window_ns=30_000.0,
         ))
 
 

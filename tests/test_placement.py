@@ -7,7 +7,7 @@ from repro.core.messages import TraversalRequest
 from repro.core.switch import PulseSwitch
 from repro.isa import assemble
 from repro.mem import AddressSpace, AllocationError
-from repro.mem.node import ForwardingTable, GlobalMemory
+from repro.mem.node import GlobalMemory
 from repro.params import DEFAULT_PARAMS, PlacementParams, SystemParams
 from repro.placement import HotnessTracker, PlacementError, PlacementMap
 from repro.placement.migration import MigrationError
@@ -229,41 +229,6 @@ class TestHotnessTracker:
 
 
 # ---------------------------------------------------------------------------
-# ForwardingTable
-# ---------------------------------------------------------------------------
-class TestForwardingTable:
-    def test_lookup_inside_hint(self):
-        table = ForwardingTable()
-        table.install(0x1000, 0x2000, new_owner=3, now=0.0)
-        assert table.lookup(0x1800) == 3
-        assert table.lookup(0x2000) is None
-        assert table.redirects == 1
-
-    def test_expire_drops_only_stale_hints(self):
-        table = ForwardingTable()
-        table.install(0x1000, 0x2000, new_owner=1, now=0.0)
-        table.install(0x3000, 0x4000, new_owner=2, now=900.0)
-        dropped = table.expire(now=1000.0, window_ns=500.0)
-        assert dropped == 1
-        assert table.lookup(0x1800) is None
-        assert table.lookup(0x3800) == 2
-
-    def test_remove_drops_exactly_one_hint_by_id(self):
-        # Two hints for the same range (the range migrated away, came
-        # back, and left again): each migration's expiry must remove
-        # only the hint it installed.
-        table = ForwardingTable()
-        first = table.install(0x1000, 0x2000, new_owner=1, now=0.0)
-        second = table.install(0x1000, 0x2000, new_owner=2, now=10.0)
-        assert table.lookup(0x1800) == 2      # newest hint wins
-        assert table.remove(first)
-        assert table.lookup(0x1800) == 2      # younger hint untouched
-        assert table.remove(second)
-        assert table.lookup(0x1800) is None
-        assert not table.remove(second)       # idempotent
-
-
-# ---------------------------------------------------------------------------
 # Switch MOVED handling
 # ---------------------------------------------------------------------------
 def make_switch(node_count=2):
@@ -330,15 +295,9 @@ class TestSwitchMoved:
 # ---------------------------------------------------------------------------
 # Migration engine (through the cluster)
 # ---------------------------------------------------------------------------
-def migration_params():
-    return SystemParams().with_overrides(
-        placement=PlacementParams(forward_window_ns=50_000.0))
-
-
 class TestMigration:
     def build(self, node_count=2, keys=32):
-        cluster = PulseCluster(node_count=node_count,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=node_count)
         table = HashTable(cluster.memory, buckets=64)
         for k in range(keys):
             table.insert(k, bytes([k % 256]) * 8)
@@ -381,37 +340,43 @@ class TestMigration:
         assert cluster.memory.placement.node_of(vaddr) == 1
         assert cluster.memory.read_u64(vaddr) == 0x2222
 
-    def test_overlapping_migrations_expire_hints_independently(self):
-        # Regression: a range that migrates away, bounces back, and
-        # leaves again inside one forward window leaves two hints on
-        # node 0.  Each migration's expiry must remove exactly its own
-        # hint: under the old range-keyed table with an age sweep, the
-        # re-installed hint both shadowed the first and then leaked
-        # past its own window (age == window is not > window), so a
-        # later straggler could be redirected by a dead hint forever.
-        cluster = PulseCluster(node_count=3, params=migration_params())
+    def test_stragglers_after_repeated_migration_reach_newest_owner(self):
+        # A range migrates away, comes back, and leaves again
+        # (0 -> 1 -> 0 -> 2).  A straggler that misses on either former
+        # owner must be sent on to node 2, the newest owner -- read from
+        # the live placement map, which both the accelerators' miss path
+        # and the switch consult.  Node 0 is the range's arithmetic
+        # home, so its miss is MOVED; node 1 is arithmetically foreign,
+        # so its miss is an ordinary RUNNING reroute.  The switch
+        # delivers both to node 2.
+        cluster = PulseCluster(node_count=3)
         vaddr = cluster.memory.alloc(4096, preferred_node=0)
-        window = cluster.params.placement.forward_window_ns
-
-        fence_times = []
         for dst in (1, 0, 2):
             proc = cluster.migrate(vaddr, vaddr + 4096, dst)
             cluster.env.run(until=proc)
-            fence_times.append(cluster.env.now)
-        t_first, _, t_last = fence_times
-        assert t_last - t_first < window    # the migrations overlap
+        assert cluster.memory.placement.node_of(vaddr) == 2
 
-        fwd = cluster.memory.nodes[0].forwarding
-        assert len(fwd) == 2                # hints from legs 1 and 3
-        assert fwd.lookup(vaddr) == 2       # newest hint wins
-
-        cluster.env.run(until=t_first + window + 1.0)
-        assert len(fwd) == 1                # only leg 1's hint expired
-        assert fwd.lookup(vaddr) == 2       # leg 3 still redirects
-
-        cluster.env.run(until=t_last + window + 1.0)
-        assert len(fwd) == 0
-        assert fwd.lookup(vaddr) is None
+        env, fabric, space, switch, client, nodes = make_switch(3)
+        switch.rangemap = cluster.memory.placement
+        for stale, status in ((0, RequestStatus.MOVED),
+                              (1, RequestStatus.RUNNING)):
+            req = TraversalRequest(request_id=(0, stale), program=PROGRAM,
+                                   cur_ptr=vaddr, scratch=b"",
+                                   status=RequestStatus.RUNNING)
+            bounced = cluster.accelerators[stale]._miss_response(
+                vaddr, b"", req, 0, vaddr)
+            assert bounced.status is status
+            send(env, fabric, "client0", req)
+            delivered_before = len(nodes[2].inbox)
+            send(env, fabric, f"mem{stale}", bounced)
+            assert len(nodes[2].inbox) == delivered_before + 1
+            delivered = nodes[2].inbox._items[-1].payload
+            assert delivered.request_id == (0, stale)
+            assert delivered.status is RequestStatus.RUNNING
+        assert switch.moved_redirects == 1
+        snap = cluster.metrics_snapshot()["counters"]
+        assert snap["mem0.acc.moved_replies"] == 1
+        assert snap["mem1.acc.rerouted"] == 1
 
     def test_migrate_to_self_is_a_noop(self):
         cluster, _ = self.build()
@@ -422,8 +387,7 @@ class TestMigration:
         assert cluster.memory.placement.rule_count == 2
 
     def test_migrate_to_full_destination_fails_cleanly(self):
-        cluster = PulseCluster(node_count=2, node_capacity=64 * 1024,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=64 * 1024)
         a = cluster.memory.alloc(40 * 1024, preferred_node=0)
         cluster.memory.alloc(40 * 1024, preferred_node=1)
         proc = cluster.migrate(a, a + 40 * 1024, 1)
@@ -440,8 +404,7 @@ class TestMigration:
         # The fence must re-check and fail atomically -- source intact,
         # no leaked physical reservation -- with a MigrationError (not a
         # raw AllocationError, which would kill the rebalancer loop).
-        cluster = PulseCluster(node_count=2, node_capacity=256 * 1024,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=256 * 1024)
         a = cluster.memory.alloc(128 * 1024, preferred_node=0)
         cluster.memory.write_u64(a, 42)
         proc = cluster.migrate(a, a + 128 * 1024, 1)
@@ -464,7 +427,7 @@ class TestMigration:
         # Frees during the copy can merge blocks across the snapped
         # boundary; the fence re-snaps so transfer_ownership never hits
         # a straddling block mid-switch-over.
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         a = cluster.memory.alloc(4096, preferred_node=0)
         b = cluster.memory.alloc(4096, preferred_node=0)
         proc = cluster.migrate(a, a + 4096, 1)
@@ -487,7 +450,7 @@ class TestMigration:
         # arithmetically foreign to node 1; bouncing it RUNNING would
         # make the switch (which routes by the live map) send it right
         # back -- forever.  It must fault instead.
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         lst = LinkedList(cluster.memory, placement=lambda i: 0)
         addrs = [lst.append(k, k) for k in range(1, 6)]
         wild = cluster.memory.addrspace.range_of(0)[1] - 8
@@ -516,7 +479,7 @@ class TestMigration:
 # ---------------------------------------------------------------------------
 class TestMembership:
     def test_add_node_grows_rack(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         node_id = cluster.add_node()
         assert node_id == 2
         assert cluster.node_count == 3
@@ -526,7 +489,7 @@ class TestMembership:
             cluster.memory.addrspace.range_of(2)[0]) == 2
 
     def test_new_node_accepts_allocations_and_traversals(self):
-        cluster = PulseCluster(node_count=1, params=migration_params())
+        cluster = PulseCluster(node_count=1)
         cluster.add_node()
         table = HashTable(cluster.memory, buckets=16)
         for k in range(8):
@@ -538,7 +501,7 @@ class TestMembership:
         assert result.ok
 
     def test_drain_empties_node_while_traversals_run(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         table = HashTable(cluster.memory, buckets=64)
         for k in range(64):
             table.insert(k, bytes([k]) * 8)
@@ -558,7 +521,7 @@ class TestMembership:
             assert result.value[:1] == bytes([k])
 
     def test_drained_node_receives_no_new_allocations(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         drain = cluster.drain_node(0)
         cluster.env.run(until=drain)
         for _ in range(8):
@@ -566,7 +529,7 @@ class TestMembership:
             assert cluster.memory.placement.node_of(vaddr) == 1
 
     def test_drain_last_absorbing_node_raises(self):
-        cluster = PulseCluster(node_count=1, params=migration_params())
+        cluster = PulseCluster(node_count=1)
         cluster.memory.alloc(256)
         drain = cluster.drain_node(0)
         with pytest.raises(MigrationError):
@@ -578,8 +541,7 @@ class TestMembership:
 # ---------------------------------------------------------------------------
 class TestRebalancer:
     def test_fill_imbalance_triggers_migration_to_empty_node(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         fills = cluster.memory.allocator.node_fill_fractions()
@@ -592,7 +554,7 @@ class TestRebalancer:
         assert after[0] < fills[0]
 
     def test_balanced_cluster_does_nothing(self):
-        cluster = PulseCluster(node_count=2, params=migration_params())
+        cluster = PulseCluster(node_count=2)
         for node in (0, 1):
             cluster.memory.alloc(64 * 1024, preferred_node=node)
         proc = cluster.rebalance_once()
@@ -614,8 +576,7 @@ class TestRebalancer:
         assert cluster.memory.placement.node_of(vaddr) == 1
 
     def test_fill_rebalance_moves_live_bytes_not_freed_space(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         # Node 0 carries a large freed-but-still-mapped region (cold,
         # zero live bytes) ahead of its live data.  Counting it toward
         # gap contraction would fake progress while the fill gap stays
@@ -635,8 +596,7 @@ class TestRebalancer:
         # Fence-time failures can surface as raw AllocationError; a
         # rebalancer that lets one escape dies silently for the rest of
         # the simulation.
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         calls = {"n": 0}
@@ -655,8 +615,7 @@ class TestRebalancer:
         assert calls["n"] >= 2
 
     def test_background_rebalancer_runs_and_stops(self):
-        cluster = PulseCluster(node_count=2, node_capacity=1 << 20,
-                               params=migration_params())
+        cluster = PulseCluster(node_count=2, node_capacity=1 << 20)
         for _ in range(8):
             cluster.memory.alloc(64 * 1024, preferred_node=0)
         cluster.start_rebalancer()
@@ -667,7 +626,7 @@ class TestRebalancer:
         assert snap["counters"]["placement.migrations"] >= 1
 
     def test_hotness_fed_by_accelerator_loads(self):
-        cluster = PulseCluster(node_count=1, params=migration_params())
+        cluster = PulseCluster(node_count=1)
         table = HashTable(cluster.memory, buckets=16)
         for k in range(16):
             table.insert(k, b"v" * 8)

@@ -29,7 +29,6 @@ def storm_params():
     return SystemParams().with_overrides(
         placement=PlacementParams(
             migration_bandwidth_bytes_per_ns=2.0,
-            forward_window_ns=30_000.0,
         ))
 
 
